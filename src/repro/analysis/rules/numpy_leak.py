@@ -39,11 +39,8 @@ ARRAY_PRODUCERS = {
     "event_time_column",
     "field_values",
     "tid_values",
+    "event_time_values",
     "stream_flags",
-    "column_of",
-    "tids_of",
-    "flags_of",
-    "event_times_of",
     "asarray",
     "array",
     "arange",

@@ -181,140 +181,6 @@ def _batching(args) -> None:
     )
 
 
-def _arena(args) -> None:
-    """Columnar arena vs object data plane; memory vs SQL backend parity."""
-    import hashlib
-    import tracemalloc
-
-    from ..core.arena import ArenaSlice
-
-    query = q3()
-    window = WindowSpec.count(1_000, 200)
-    n = args.tuples or 2_000
-    tuples = as_stream_tuples(q3_stream(n, seed=12))
-    bs = args.batch_size or 64
-
-    def measure(columnar: bool):
-        # Timed run first (tracemalloc's bookkeeping would distort the
-        # throughput), then a separate traced run for the peak footprint.
-        stats = drive_local(
-            make_spo_join(query, window),
-            tuples,
-            batch_size=bs,
-            columnar=columnar,
-        )
-        tracemalloc.start()
-        drive_local(
-            make_spo_join(query, window),
-            tuples,
-            batch_size=bs,
-            columnar=columnar,
-        )
-        __, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        return stats, peak
-
-    obj_stats, obj_peak = measure(False)
-    col_stats, col_peak = measure(True)
-    if obj_stats.matches != col_stats.matches:
-        raise SystemExit(
-            f"arena path diverged from object path: "
-            f"{col_stats.matches} vs {obj_stats.matches} matches"
-        )
-    speedup = (
-        col_stats.throughput / obj_stats.throughput
-        if obj_stats.throughput
-        else 0.0
-    )
-    table = ResultTable(
-        f"Columnar arena vs object data plane, Q3 (batch {bs})",
-        ["path", "tuples/sec", "matches", "peak alloc (MiB)", "speedup"],
-    )
-    table.add_row(
-        "object", obj_stats.throughput, obj_stats.matches,
-        obj_peak / 2**20, 1.0,
-    )
-    table.add_row(
-        "arena", col_stats.throughput, col_stats.matches,
-        col_peak / 2**20, speedup,
-    )
-    table.show()
-    try:
-        import resource
-
-        peak_rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    except ImportError:  # pragma: no cover - non-POSIX host
-        peak_rss_kib = None
-
-    # Backend parity: the embedded-SQL backend must reproduce the memory
-    # backend's match stream bit for bit at every batch size.
-    def fingerprint(immutable: str, bsize: int):
-        algo = make_spo_join(query, window, immutable=immutable)
-        pairs = []
-        for i in range(0, len(tuples), bsize):
-            chunk = ArenaSlice.of(tuples[i : i + bsize])
-            pairs.extend(algo.process_many(chunk))
-        digest = hashlib.sha256(repr(pairs).encode()).hexdigest()
-        return digest, len(pairs)
-
-    parity_table = ResultTable(
-        "Backend parity: memory vs embedded SQL",
-        ["batch", "matches", "fingerprint (memory)", "identical"],
-    )
-    parity_rows = []
-    mismatches = []
-    for bsize in (1, 7, 64):
-        mem_fp, mem_matches = fingerprint("po", bsize)
-        sql_fp, sql_matches = fingerprint("sql", bsize)
-        identical = mem_fp == sql_fp
-        if not identical:
-            mismatches.append(bsize)
-        parity_table.add_row(bsize, mem_matches, mem_fp[:16], identical)
-        parity_rows.append(
-            {
-                "batch_size": bsize,
-                "matches_memory": mem_matches,
-                "matches_sql": sql_matches,
-                "fingerprint_memory": mem_fp,
-                "fingerprint_sql": sql_fp,
-                "identical": identical,
-            }
-        )
-    parity_table.show()
-    _write_json(
-        args,
-        "arena",
-        {
-            "experiment": "arena",
-            "query": "q3_self_join",
-            "window": {"size": 1_000, "slide": 200, "kind": "count"},
-            "stream_tuples": n,
-            "batch_size": bs,
-            "paths": {
-                "object": {
-                    "throughput_tps": obj_stats.throughput,
-                    "matches": obj_stats.matches,
-                    "tracemalloc_peak_bytes": obj_peak,
-                    "mean_per_batch_cost_s": obj_stats.mean_batch_cost,
-                },
-                "arena": {
-                    "throughput_tps": col_stats.throughput,
-                    "matches": col_stats.matches,
-                    "tracemalloc_peak_bytes": col_peak,
-                    "mean_per_batch_cost_s": col_stats.mean_batch_cost,
-                },
-            },
-            "arena_speedup_vs_object": speedup,
-            "peak_rss_kib": peak_rss_kib,
-            "backend_parity": parity_rows,
-        },
-    )
-    if mismatches:
-        raise SystemExit(
-            f"memory and SQL backends diverged at batch sizes {mismatches}"
-        )
-
-
 def _trace(args) -> None:
     """Tuple tracing: per-stage latency waterfall with reconciliation."""
     query = q3()
@@ -1332,7 +1198,6 @@ EXPERIMENTS: Dict[str, Callable[..., None]] = {
     "crossjoin": _crossjoin,
     "equijoin": _equijoin,
     "batching": _batching,
-    "arena": _arena,
     "recovery": _recovery,
     "overload": _overload,
     "scaleup": _scaleup,
@@ -1437,8 +1302,8 @@ def main(argv=None) -> int:
         "--tuples",
         type=int,
         default=None,
-        help="overload/arena/scaleup/skew experiments: stream length "
-        "(defaults 900 / 2000 / 100000 / 3000)",
+        help="overload/scaleup/skew experiments: stream length "
+        "(defaults 900 / 100000 / 3000)",
     )
     args = parser.parse_args(argv)
     if args.batch_size is not None and args.batch_size < 1:

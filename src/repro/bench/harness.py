@@ -109,17 +109,15 @@ def drive_local(
     tuples: Iterable[StreamTuple],
     sample_latency_every: int = 1,
     batch_size: int = 1,
-    columnar: bool = True,
 ) -> StreamRunStats:
     """Push tuples through a local join algorithm, timing each call.
 
     With ``batch_size > 1`` the stream is chunked and handed to
     ``algo.process_many``; each chunk's wall-clock cost is recorded in
     ``per_batch`` and amortized (cost / chunk length) into ``per_tuple``.
-    By default each chunk is an :class:`~repro.core.arena.ArenaSlice`
-    (the columnar data plane the router emits; the stamping cost is paid
-    outside the timed region, mirroring where the router pays it);
-    ``columnar=False`` hands over boxed-tuple lists instead.
+    Each chunk is an :class:`~repro.core.arena.ArenaSlice` (what the
+    router emits; the stamping cost is paid outside the timed region,
+    mirroring where the router pays it).
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -138,11 +136,10 @@ def drive_local(
         return StreamRunStats(count, matches, elapsed, per_tuple)
 
     stream = list(tuples)
-    chunks: List[Sequence[StreamTuple]] = [
-        stream[i : i + batch_size] for i in range(0, len(stream), batch_size)
+    chunks = [
+        ArenaSlice.of(stream[i : i + batch_size])
+        for i in range(0, len(stream), batch_size)
     ]
-    if columnar:
-        chunks = [ArenaSlice.of(chunk) for chunk in chunks]
     per_batch: List[float] = []
     t_start = time.perf_counter()
     for i, chunk in enumerate(chunks):

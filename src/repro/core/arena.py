@@ -1,14 +1,11 @@
 """Columnar tuple arena: structure-of-arrays storage for stream tuples.
 
-The object data plane boxes every tuple as a :class:`~repro.core.tuples.
-StreamTuple`, which forces a fresh Python→numpy conversion at every
-vectorised probe (``core/pojoin_numpy.py`` historically rebuilt a float64
-column with ``np.fromiter`` per batch).  The arena flips the layout:
-tuple identifiers, event times, and each payload field live in contiguous
-numpy columns, and tuples become lightweight *views* (an arena reference
-plus a slot index).  A micro-batch then travels router → mutable tier →
-immutable probe as a zero-copy :class:`ArenaSlice`, and the vectorised
-join kernels read the columns directly.
+Tuple identifiers, event times, and each payload field live in
+contiguous numpy columns, and tuples are lightweight *views* (an arena
+reference plus a slot index).  A micro-batch travels router → mutable
+tier → immutable probe as a zero-copy :class:`ArenaSlice` — the only
+batch currency — and the vectorised join kernels read its columns
+directly.
 
 Three public pieces:
 
@@ -27,14 +24,12 @@ Three public pieces:
 ``ArenaSlice``
     A window onto an arena: either a contiguous ``[start, stop)`` range
     (true zero-copy column views) or an explicit index array (a single
-    vectorised gather).  Supports ``len``/iteration/indexing like the
-    tuple lists it replaces, plus columnar accessors used by the
-    vectorised paths.
-
-The module-level helper :func:`column_of` is the compatibility shim: it
-returns the zero-copy column when given an :class:`ArenaSlice` and falls
-back to ``np.fromiter`` over objects otherwise, so every call site works
-with both data planes during the migration.
+    vectorised gather).  Supports ``len``/iteration/indexing like a
+    tuple list, plus the columnar accessors (``field_values``,
+    ``tids_list``, ``stream_flags``, ``event_time_values``) the batch
+    paths read.  :meth:`ArenaSlice.of` stamps a plain tuple sequence
+    into a fresh arena; public entry points that accept sequences
+    convert with it once, on entry.
 
 Wire format
 -----------
@@ -45,29 +40,22 @@ batch crosses a process boundary (the shared-nothing executor in
 slice as its raw column arrays plus the stream dictionary — never as
 per-tuple objects — and :meth:`ArenaSlice.from_wire` rebuilds a fresh
 single-owner arena around those columns without per-tuple appends.
-``__reduce__`` on :class:`ArenaSlice` / :class:`ArenaTuple` (and on
-:class:`~repro.dspe.router.ArenaBatch`) routes pickling through the wire
-helpers, so queue transport pays one vectorised gather per column and
+``__reduce__`` on :class:`ArenaSlice` / :class:`ArenaTuple` routes
+pickling through the wire helpers (a
+:class:`~repro.dspe.engine.TupleBatch` pickles through the slice it
+carries), so queue transport pays one vectorised gather per column and
 round-trips bit-identically.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Union, overload
 
 import numpy as np
 
 from .tuples import StreamTuple
 
-__all__ = [
-    "TupleArena",
-    "ArenaTuple",
-    "ArenaSlice",
-    "column_of",
-    "tids_of",
-    "flags_of",
-    "event_times_of",
-]
+__all__ = ["TupleArena", "ArenaTuple", "ArenaSlice"]
 
 _INITIAL_CAPACITY = 64
 
@@ -406,7 +394,11 @@ class ArenaSlice:
 
     @classmethod
     def of(cls, tuples: Sequence[StreamTuple]) -> "ArenaSlice":
-        """Copy plain tuples into a fresh arena (test/bench helper)."""
+        """Stamp plain tuples into a fresh arena.
+
+        The conversion public entry points apply to a plain sequence;
+        ``perf/`` times it as ``core.arena.stamp_s``.
+        """
         arena = TupleArena(capacity=max(1, len(tuples)))
         return arena.extend(tuples)
 
@@ -425,6 +417,12 @@ class ArenaSlice:
         if self.index is not None:
             return int(self.index[i])
         return self.start + i
+
+    @overload
+    def __getitem__(self, item: int) -> ArenaTuple: ...
+
+    @overload
+    def __getitem__(self, item: slice) -> "ArenaSlice": ...
 
     def __getitem__(
         self, item: Union[int, slice]
@@ -555,40 +553,3 @@ def _tuple_from_wire(wire: dict) -> ArenaTuple:
     """Unpickle hook for :class:`ArenaTuple` (one-row wire slice)."""
     sl = ArenaSlice.from_wire(wire)
     return ArenaTuple(sl.arena, 0)
-
-
-# ----------------------------------------------------------------------
-# Compatibility shims: columnar fast path with object fallback
-# ----------------------------------------------------------------------
-def column_of(probes: Sequence[StreamTuple], field_index: int) -> np.ndarray:
-    """float64 column of ``field_index`` across ``probes``.
-
-    Zero-copy for :class:`ArenaSlice`; builds the column with
-    ``np.fromiter`` for plain tuple sequences.
-    """
-    if isinstance(probes, ArenaSlice):
-        return probes.field_values(field_index)
-    return np.fromiter(
-        (t.values[field_index] for t in probes), np.float64, len(probes)
-    )
-
-
-def tids_of(probes: Sequence[StreamTuple]) -> List[int]:
-    """Tuple ids across ``probes`` as pure-Python ints."""
-    if isinstance(probes, ArenaSlice):
-        return probes.tids_list()
-    return [t.tid for t in probes]
-
-
-def flags_of(probes: Sequence[StreamTuple], left_stream: str) -> List[bool]:
-    """Per-tuple "probes as left?" flags (stream equality test)."""
-    if isinstance(probes, ArenaSlice):
-        return probes.stream_flags(left_stream).tolist()
-    return [t.stream == left_stream for t in probes]
-
-
-def event_times_of(probes: Sequence[StreamTuple]) -> List[float]:
-    """Event timestamps across ``probes`` as pure-Python floats."""
-    if isinstance(probes, ArenaSlice):
-        return probes.event_time_values().tolist()
-    return [t.event_time for t in probes]

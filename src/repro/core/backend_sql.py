@@ -30,6 +30,7 @@ from __future__ import annotations
 import sqlite3
 from typing import List, Optional, Sequence
 
+from .arena import ArenaSlice
 from .merge import MergeBatch, MergeSide
 from .query import QuerySpec
 from .tuples import StreamTuple
@@ -160,7 +161,7 @@ class SQLImmutableBatch:
         return [row[0] for row in self._conn.execute(sql, params)]
 
     def probe_batch(
-        self, probes: Sequence[StreamTuple], flags: Sequence[bool]
+        self, probes: ArenaSlice, flags: Sequence[bool]
     ) -> List[List[int]]:
         """One range query per probe (SELECTs do not batch in sqlite)."""
         return [self.probe(t, f) for t, f in zip(probes, flags)]

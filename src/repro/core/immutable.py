@@ -21,12 +21,14 @@ from __future__ import annotations
 from typing import (
     Callable,
     Dict,
+    Iterable,
     List,
     Protocol,
     Sequence,
     runtime_checkable,
 )
 
+from .arena import ArenaSlice
 from .tuples import StreamTuple
 
 __all__ = [
@@ -65,7 +67,7 @@ class ImmutableBatch(Protocol):
         ...
 
     def probe_batch(
-        self, probes: Sequence[StreamTuple], flags: Sequence[bool]
+        self, probes: ArenaSlice, flags: Sequence[bool]
     ) -> List[List[int]]:
         """Per-probe match lists for a micro-batch of tuples.
 
@@ -76,7 +78,7 @@ class ImmutableBatch(Protocol):
 
 
 def scalar_probe_batch(
-    batch, probes: Sequence[StreamTuple], flags: Sequence[bool]
+    batch, probes: Iterable[StreamTuple], flags: Sequence[bool]
 ) -> List[List[int]]:
     """Reference ``probe_batch``: one scalar probe per tuple.
 

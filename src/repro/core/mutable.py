@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..indexes.bptree import BPlusTree
-from .arena import ArenaSlice, TupleArena, column_of, tids_of
+from .arena import ArenaSlice, TupleArena
 from .bitset import BitSet
 from .pojoin_numpy import batch_probe_intervals
 from .predicates import Predicate
@@ -131,17 +131,13 @@ class MutableComponent:
                 tree.insert(value, payload)
         return slot
 
-    def insert_many(self, probes: Sequence[StreamTuple]) -> None:
+    def insert_many(self, probes: ArenaSlice) -> None:
         """Bulk :meth:`insert`, preserving arrival (slot) order.
 
-        Arena-backed batches copy straight between columns — one
-        vectorised copy per field — and feed the trees from column
-        values, never materialising per-tuple views.
+        Copies straight between columns — one vectorised copy per field
+        — and feeds the trees from column values, never materialising
+        per-tuple views.
         """
-        if not isinstance(probes, ArenaSlice):
-            for t in probes:
-                self.insert(t)
-            return
         start_slot = len(self._arrival)
         tids = probes.tids_list()
         self._arrival.extend(tids)
@@ -257,7 +253,7 @@ class MutableComponent:
 
     def evaluate_batch(
         self,
-        probes: Sequence[StreamTuple],
+        probes: ArenaSlice,
         flags: Sequence[bool],
         bounds: Optional[Sequence[int]] = None,
     ) -> List[List[int]]:
@@ -293,7 +289,7 @@ class MutableComponent:
                     "process tuples one at a time instead"
                 )
             return [self.evaluate(t, f) for t, f in zip(probes, flags)]
-        results: List[List[int]] = [[] for __ in probes]
+        results: List[List[int]] = [[] for __ in range(num)]
         if n == 0:
             return results
         for flag in (True, False):
@@ -304,7 +300,7 @@ class MutableComponent:
 
     def _evaluate_group(
         self,
-        probes: Sequence[StreamTuple],
+        probes: ArenaSlice,
         bounds: Sequence[int],
         idx: List[int],
         flag: bool,
@@ -312,10 +308,7 @@ class MutableComponent:
     ) -> None:
         n = len(self._arrival)
         g = len(idx)
-        if isinstance(probes, ArenaSlice):
-            group: Sequence[StreamTuple] = probes.take(idx)
-        else:
-            group = [probes[j] for j in idx]
+        group = probes.take(idx)
         cur = np.zeros((g, n), dtype=bool)
         row = np.empty(n, dtype=bool)
         for pred_pos, pred in enumerate(self.query.predicates):
@@ -324,7 +317,7 @@ class MutableComponent:
             # insertion payload, which for the bit evaluator is the slot
             # — without a per-entry Python scan of the leaves.
             values, slots = self._sorted_run(pred_pos)
-            pvals = column_of(group, pred.probing_field(flag))
+            pvals = group.field_values(pred.probing_field(flag))
             pairs = batch_probe_intervals(pred, pvals, values, flag)
             for j in range(g):
                 if pred_pos == 0:
@@ -340,7 +333,7 @@ class MutableComponent:
                     cur[j] &= row
         tid_col = self.arena.tid_column()
         self_join = self.query.is_self_join
-        probe_tids = tids_of(group) if self_join else None
+        probe_tids = group.tids_list() if self_join else None
         for j, out_idx in enumerate(idx):
             hit = np.nonzero(cur[j, : bounds[out_idx]])[0]
             tids = tid_col[hit].tolist()

@@ -24,6 +24,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Deque, List, Optional, Sequence, Tuple
 
+from .arena import ArenaSlice
 from .bitset import BitSet
 from .immutable import scalar_probe_batch
 from .merge import MergeBatch, MergeSide
@@ -80,7 +81,7 @@ class POJoinBatch:
         return matches
 
     def probe_batch(
-        self, probes: Sequence[StreamTuple], flags: Sequence[bool]
+        self, probes: ArenaSlice, flags: Sequence[bool]
     ) -> List[List[int]]:
         """Per-probe match lists; the scalar batch probes one at a time."""
         return scalar_probe_batch(self, probes, flags)
@@ -339,7 +340,7 @@ class POJoinList:
 
     def probe_all_batch(
         self,
-        probes: Sequence[StreamTuple],
+        probes: ArenaSlice,
         flags: Sequence[bool],
         num_threads: int = 1,
         batch_id_lt: Optional[int] = None,
@@ -354,7 +355,7 @@ class POJoinList:
         """
         if num_threads < 1:
             raise ValueError("num_threads must be >= 1")
-        per_probe: List[List[int]] = [[] for __ in probes]
+        per_probe: List[List[int]] = [[] for __ in range(len(probes))]
         costs: List[float] = []
         for batch in self.batches:
             if batch_id_lt is not None and batch.batch_id >= batch_id_lt:

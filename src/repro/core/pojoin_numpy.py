@@ -41,7 +41,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .arena import ArenaSlice, column_of
+from .arena import ArenaSlice
 from .merge import MergeBatch, MergeSide
 from .predicates import BandPredicate, Op
 from .query import QuerySpec
@@ -270,7 +270,7 @@ class VectorPOJoinBatch:
     # Batched probing (the batch-first hot path)
     # ------------------------------------------------------------------
     def probe_batch(
-        self, probes: Sequence[StreamTuple], flags: Sequence[bool]
+        self, probes: ArenaSlice, flags: Sequence[bool]
     ) -> List[List[int]]:
         """Per-probe match lists, interval bounds batched per predicate.
 
@@ -278,7 +278,7 @@ class VectorPOJoinBatch:
         stored side and one operator direction) and each group's bounds
         are computed with a single ``np.searchsorted`` per predicate.
         """
-        results: List[List[int]] = [[] for __ in probes]
+        results: List[List[int]] = [[] for __ in range(len(probes))]
         left_idx = [j for j, f in enumerate(flags) if f]
         right_idx = [j for j, f in enumerate(flags) if not f]
         for indices, flag in ((left_idx, True), (right_idx, False)):
@@ -287,16 +287,14 @@ class VectorPOJoinBatch:
             stored = self._stored(flag)
             if stored.size == 0:
                 continue
-            if isinstance(probes, ArenaSlice):
-                group: Sequence[StreamTuple] = probes.take(indices)
-            else:
-                group = [probes[j] for j in indices]
-            self._probe_group(group, flag, stored, results, indices)
+            self._probe_group(
+                probes.take(indices), flag, stored, results, indices
+            )
         return results
 
     def _probe_group(
         self,
-        group: Sequence[StreamTuple],
+        group: ArenaSlice,
         flag: bool,
         stored: _VectorSide,
         results: List[List[int]],
@@ -306,7 +304,7 @@ class VectorPOJoinBatch:
         if len(preds) == 1:
             pred = preds[0]
             field = pred.probing_field(flag)
-            pvals = column_of(group, field)
+            pvals = group.field_values(field)
             bounds = batch_probe_intervals(pred, pvals, stored.values[0], flag)
             tids0 = stored.tids[0]
             for j, out_idx in enumerate(indices):
@@ -321,8 +319,8 @@ class VectorPOJoinBatch:
         p1, p2 = preds[:2]
         assert stored.permutation is not None
         f1, f2 = p1.probing_field(flag), p2.probing_field(flag)
-        v1 = column_of(group, f1)
-        v2 = column_of(group, f2)
+        v1 = group.field_values(f1)
+        v2 = group.field_values(f2)
         b1 = batch_probe_intervals(p1, v1, stored.values[0], flag)
         b2 = batch_probe_intervals(p2, v2, stored.values[1], flag)
         perm = stored.permutation

@@ -23,9 +23,9 @@ microbenches (insertion cost, match rate, window split) measure.
 from __future__ import annotations
 
 import time
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
-from .arena import ArenaSlice, flags_of, tids_of
+from .arena import ArenaSlice
 from .merge import build_merge_batch_from_runs
 from .mutable import MutableComponent
 from .pojoin import POJoinBatch, POJoinList
@@ -36,13 +36,6 @@ from .window import MergePolicy, WindowKind, WindowSpec
 __all__ = ["SPOJoin", "JoinStats"]
 
 Pair = Tuple[int, int]
-
-
-def _take(tuples: Sequence[StreamTuple], idx: List[int]):
-    """Positional subset, zero-copy for arena slices."""
-    if isinstance(tuples, ArenaSlice):
-        return tuples.take(idx)
-    return [tuples[i] for i in idx]
 
 
 class JoinStats:
@@ -241,7 +234,9 @@ class SPOJoin:
     # ------------------------------------------------------------------
     # Micro-batched processing (the batch-first hot path)
     # ------------------------------------------------------------------
-    def process_many(self, tuples: Sequence[StreamTuple]) -> List[Pair]:
+    def process_many(
+        self, tuples: Union[ArenaSlice, Sequence[StreamTuple]]
+    ) -> List[Pair]:
         """Run a micro-batch through Algorithm 1 in amortized passes.
 
         Produces exactly ``process(t)`` concatenated over ``tuples`` —
@@ -252,7 +247,12 @@ class SPOJoin:
         positions where the merge clock fires; within a sub-batch the
         immutable list is frozen and the mutable window only grows,
         which the slot-bounded batched evaluation accounts for.
+
+        A plain tuple sequence is stamped into an :class:`ArenaSlice`
+        once here; everything below consumes slices only.
         """
+        if not isinstance(tuples, ArenaSlice):
+            tuples = ArenaSlice.of(tuples)
         pairs: List[Pair] = []
         i, n = 0, len(tuples)
         while i < n:
@@ -264,7 +264,7 @@ class SPOJoin:
         return pairs
 
     def _scan_boundary(
-        self, tuples: Sequence[StreamTuple], start: int
+        self, tuples: ArenaSlice, start: int
     ) -> Tuple[int, bool]:
         """Advance the merge clock until it fires or the batch ends.
 
@@ -280,11 +280,7 @@ class SPOJoin:
                     self._merge_counter = 0
                     return k + 1, True
             return len(tuples), False
-        if isinstance(tuples, ArenaSlice):
-            # Columnar batches scan the event-time column directly.
-            times: Sequence[float] = tuples.event_time_values()
-        else:
-            times = [t.event_time for t in tuples]
+        times = tuples.event_time_values()
         for k in range(start, len(tuples)):
             event_time = float(times[k])
             if self._next_merge_time is None:
@@ -294,13 +290,11 @@ class SPOJoin:
                 return k + 1, True
         return len(tuples), False
 
-    def _process_subbatch(
-        self, sub: Sequence[StreamTuple], pairs: List[Pair]
-    ) -> None:
+    def _process_subbatch(self, sub: ArenaSlice, pairs: List[Pair]) -> None:
         if not self.is_two_stream:
             flags = [True] * len(sub)
         else:
-            flags = flags_of(sub, self.left_stream)
+            flags = sub.stream_flags(self.left_stream).tolist()
         hook = self.phase_hook
         t0 = time.perf_counter() if hook is not None else 0.0  # repro: allow-wallclock
         mutable_rows = self._mutable_batch(sub, flags)
@@ -318,8 +312,8 @@ class SPOJoin:
             immutable_rows: Sequence[List[int]] = outcome.per_probe
         else:
             self.stats.degraded_tuples += len(sub)
-            immutable_rows = [[] for __ in sub]
-        for tid, mut, imm in zip(tids_of(sub), mutable_rows, immutable_rows):
+            immutable_rows = [[] for __ in range(len(sub))]
+        for tid, mut, imm in zip(sub.tids_list(), mutable_rows, immutable_rows):
             self.stats.mutable_matches += len(mut)
             self.stats.immutable_matches += len(imm)
             self.stats.tuples_processed += 1
@@ -328,7 +322,7 @@ class SPOJoin:
             pairs.extend((tid, m) for m in imm)
 
     def _mutable_batch(
-        self, sub: Sequence[StreamTuple], flags: List[bool]
+        self, sub: ArenaSlice, flags: List[bool]
     ) -> List[List[int]]:
         """Probe + insert a merge-free sub-batch against the mutable tier.
 
@@ -364,9 +358,9 @@ class SPOJoin:
                 seen_right += 1
         left_idx = [i for i, f in enumerate(flags) if f]
         right_idx = [i for i, f in enumerate(flags) if not f]
-        self.mutable_left.insert_many(_take(sub, left_idx))
-        self.mutable_right.insert_many(_take(sub, right_idx))
-        results: List[List[int]] = [[] for __ in sub]
+        self.mutable_left.insert_many(sub.take(left_idx))
+        self.mutable_right.insert_many(sub.take(right_idx))
+        results: List[List[int]] = [[] for __ in range(len(sub))]
         for window, flag_value, idx in (
             (self.mutable_right, True, left_idx),
             (self.mutable_left, False, right_idx),
@@ -374,7 +368,7 @@ class SPOJoin:
             if not idx:
                 continue
             rows = window.evaluate_batch(
-                _take(sub, idx),
+                sub.take(idx),
                 [flag_value] * len(idx),
                 [bounds[i] for i in idx],
             )

@@ -35,6 +35,7 @@ import random
 import time
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from ..core.arena import ArenaSlice
 from ..obs import Observer
 from .faults import CrashEvent, FaultConfig, FaultPlan, build_fault_plan
 from .flow import FlowConfig, FlowController
@@ -64,12 +65,17 @@ class TupleBatch:
     batch's own ``origin_time`` (its oldest tuple's) is what the
     enclosing :class:`Message` is stamped with, keeping event-time
     latency conservative at batch granularity.
+
+    ``tuples`` is the router's zero-copy
+    :class:`~repro.core.arena.ArenaSlice`: consumers read its columns or
+    iterate it for per-tuple views, and pickling ships the slice's wire
+    format (raw column arrays), never per-tuple objects.
     """
 
     __slots__ = ("tuples", "origin_times")
 
-    def __init__(self, tuples, origin_times=None) -> None:
-        self.tuples = list(tuples)
+    def __init__(self, tuples: ArenaSlice, origin_times=None) -> None:
+        self.tuples = tuples
         self.origin_times = (
             list(origin_times) if origin_times is not None else None
         )
@@ -381,9 +387,9 @@ def _payload_key(payload) -> object:
     tid = getattr(payload, "tid", None)
     if tid is not None:
         return tid
-    if isinstance(payload, TupleBatch) and payload.tuples:
-        first = payload.tuples[0]
-        return getattr(first, "tid", repr(first))
+    if isinstance(payload, TupleBatch) and len(payload):
+        # First entry of the tid column: no per-row view is built.
+        return int(payload.tuples.tid_values()[0])
     return repr(payload)[:80]
 
 

@@ -10,69 +10,26 @@ shared tuple; this mirrors the paper's router partitioning
 payloads.
 
 With ``batch_size > 1`` the router becomes the topology's batching point:
-stamped tuples accumulate into a :class:`~repro.dspe.engine.TupleBatch`
-that is emitted when full, when the oldest buffered tuple exceeds
-``flush_timeout`` of simulated time, when the caller-supplied ``cut_fn``
-marks a tuple as a batch boundary (the SPO topology cuts at merge
-boundaries so no batch spans a merge), or at end of stream via
-:meth:`flush`.  Downstream PEs then pay their per-message overhead once
-per batch.
+raw tuples are stamped straight into a per-batch
+:class:`~repro.core.arena.TupleArena` whose slice travels downstream as a
+:class:`~repro.dspe.engine.TupleBatch`, emitted when full, when the
+oldest buffered tuple exceeds ``flush_timeout`` of simulated time, when
+the caller-supplied ``cut_fn`` marks a tuple as a batch boundary (the SPO
+topology cuts at merge boundaries so no batch spans a merge), or at end
+of stream via :meth:`flush`.  Downstream PEs then pay their per-message
+overhead once per batch.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ..core.arena import ArenaSlice, TupleArena
+from ..core.arena import ArenaTuple, TupleArena
 from ..core.tuples import StreamTuple
 from .engine import TupleBatch
 from .topology import Operator
 
-__all__ = ["RouterOperator", "RawTuple", "ArenaBatch"]
-
-
-class ArenaBatch(TupleBatch):
-    """A :class:`TupleBatch` whose payload is a zero-copy arena slice.
-
-    The columnar router stamps raw tuples straight into a per-batch
-    :class:`~repro.core.arena.TupleArena`, so the batch travels
-    spout → router → probe as column arrays; ``tuples`` materialises
-    lightweight :class:`~repro.core.arena.ArenaTuple` views lazily (and
-    caches them), keeping every object-path consumer working unchanged.
-    """
-
-    __slots__ = ("slice",)
-
-    def __init__(self, arena_slice: ArenaSlice, origin_times=None) -> None:
-        # Deliberately does NOT call TupleBatch.__init__: the parent's
-        # ``tuples`` slot is shadowed by the property below.
-        self.slice = arena_slice
-        self.origin_times = (
-            list(origin_times) if origin_times is not None else None
-        )
-
-    @property
-    def tuples(self):  # type: ignore[override]
-        return self.slice.tuples
-
-    def __len__(self) -> int:
-        return len(self.slice)
-
-    def __iter__(self):
-        return iter(self.slice)
-
-    def __reduce__(self):
-        # Cross-process transport (repro.parallel) ships the raw column
-        # arrays via the slice's wire format; per-tuple views are never
-        # materialised on either side of the pipe.
-        return (
-            ArenaBatch._from_wire,
-            (self.slice.to_wire(), self.origin_times),
-        )
-
-    @staticmethod
-    def _from_wire(wire, origin_times) -> "ArenaBatch":
-        return ArenaBatch(ArenaSlice.from_wire(wire), origin_times)
+__all__ = ["RouterOperator", "RawTuple"]
 
 
 class RawTuple:
@@ -113,7 +70,6 @@ class RouterOperator(Operator):
         batch_size: int = 1,
         flush_timeout: Optional[float] = None,
         cut_fn: Optional[Callable[[StreamTuple], bool]] = None,
-        columnar: bool = True,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -121,19 +77,14 @@ class RouterOperator(Operator):
         self.batch_size = batch_size
         self.flush_timeout = flush_timeout
         self._cut_fn = cut_fn
-        #: With batching, stamp tuples into a per-batch columnar arena
-        #: and emit :class:`ArenaBatch` slices (the zero-copy data
-        #: plane).  ``columnar=False`` restores the boxed-object path.
-        self.columnar = columnar
-        self._buffer: List[StreamTuple] = []
+        #: The open batch: one arena per batch, handed over whole on
+        #: flush so memory is reclaimed with the batch.
         self._arena: Optional[TupleArena] = None
         self._buffer_origins: List[float] = []
         self._buffer_opened: Optional[float] = None
 
     def _buffered(self) -> int:
-        if self._arena is not None:
-            return self._arena.size
-        return len(self._buffer)
+        return self._arena.size if self._arena is not None else 0
 
     def process(self, payload, ctx) -> None:
         raw: RawTuple = payload
@@ -145,6 +96,14 @@ class RouterOperator(Operator):
             self._on_stamped(tuple_, ctx)
             ctx.emit(tuple_)
             return
+        tuple_ = self._stamp_into_batch(raw, ctx)
+        cut = self._cut_fn(tuple_) if self._cut_fn is not None else False
+        if cut or self._buffered() >= self.batch_size:
+            self._flush_buffer(ctx)
+
+    def _stamp_into_batch(self, raw: RawTuple, ctx) -> ArenaTuple:
+        """Stamp ``raw`` into the open batch (flushing an over-age one
+        first); returns the new row's view."""
         if (
             self.flush_timeout is not None
             and self._buffered()
@@ -153,24 +112,16 @@ class RouterOperator(Operator):
             self._flush_buffer(ctx)
         if not self._buffered():
             self._buffer_opened = ctx.now
-        if self.columnar:
-            if self._arena is None:
-                self._arena = TupleArena(capacity=self.batch_size)
-            slot = self._arena.append(
-                self._next_tid, raw.stream, raw.values, raw.event_time
-            )
-            tuple_ = self._arena.view(slot)
-        else:
-            tuple_ = StreamTuple(
-                self._next_tid, raw.stream, raw.values, raw.event_time
-            )
-            self._buffer.append(tuple_)
+        if self._arena is None:
+            self._arena = TupleArena(capacity=self.batch_size)
+        slot = self._arena.append(
+            self._next_tid, raw.stream, raw.values, raw.event_time
+        )
+        tuple_ = self._arena.view(slot)
         self._next_tid += 1
         self._on_stamped(tuple_, ctx)
         self._buffer_origins.append(ctx.origin_time)
-        cut = self._cut_fn(tuple_) if self._cut_fn is not None else False
-        if cut or self._buffered() >= self.batch_size:
-            self._flush_buffer(ctx)
+        return tuple_
 
     def _on_stamped(self, tuple_: StreamTuple, ctx) -> None:
         """Subclass hook: runs once per stamped tuple, before buffering."""
@@ -184,15 +135,11 @@ class RouterOperator(Operator):
                 tuples=self._buffered(),
                 opened=self._buffer_opened,
             )
-        if self._arena is not None:
-            # The arena belongs to the emitted batch; a fresh one is
-            # opened for the next batch, so memory is reclaimed with
-            # the batch instead of accumulating for the whole stream.
-            ctx.emit(ArenaBatch(self._arena.slice(), self._buffer_origins))
-            self._arena = None
-        else:
-            ctx.emit(TupleBatch(self._buffer, self._buffer_origins))
-            self._buffer = []
+        # The arena belongs to the emitted batch; a fresh one is opened
+        # for the next batch, so memory is reclaimed with the batch
+        # instead of accumulating for the whole stream.
+        ctx.emit(TupleBatch(self._arena.slice(), self._buffer_origins))
+        self._arena = None
         self._buffer_origins = []
         self._buffer_opened = None
 
@@ -207,8 +154,9 @@ class RouterOperator(Operator):
     checkpointable = True
 
     def snapshot_state(self) -> dict:
-        if self._arena is not None:
-            arena = self._arena
+        buffered: List[dict] = []
+        arena = self._arena
+        if arena is not None:
             num_fields = arena.num_fields or 0
             times = arena.event_time_column().tolist()
             buffered = [
@@ -224,16 +172,6 @@ class RouterOperator(Operator):
                 }
                 for i, tid in enumerate(arena.tid_column().tolist())
             ]
-        else:
-            buffered = [
-                {
-                    "tid": t.tid,
-                    "stream": t.stream,
-                    "values": list(t.values),
-                    "event_time": t.event_time,
-                }
-                for t in self._buffer
-            ]
         return {
             "next_tid": self._next_tid,
             "buffered": buffered,
@@ -243,26 +181,15 @@ class RouterOperator(Operator):
 
     def restore_state(self, state: dict) -> None:
         self._next_tid = int(state["next_tid"])
-        self._buffer = []
         self._arena = None
         self._buffer_origins = list(state["buffer_origins"])
         self._buffer_opened = state["buffer_opened"]
-        for entry in state["buffered"]:
-            if self.columnar and self.batch_size > 1:
-                if self._arena is None:
-                    self._arena = TupleArena(capacity=self.batch_size)
+        if state["buffered"]:
+            self._arena = TupleArena(capacity=self.batch_size)
+            for entry in state["buffered"]:
                 self._arena.append(
                     entry["tid"],
                     entry["stream"],
                     entry["values"],
                     entry["event_time"],
-                )
-            else:
-                self._buffer.append(
-                    StreamTuple(
-                        entry["tid"],
-                        entry["stream"],
-                        entry["values"],
-                        entry["event_time"],
-                    )
                 )

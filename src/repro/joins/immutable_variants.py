@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Set
 
+from ..core.arena import ArenaSlice
 from ..core.bitset import BitSet
 from ..core.immutable import scalar_probe_batch
 from ..core.merge import MergeBatch, MergeSide
@@ -117,7 +118,7 @@ class CSSImmutableBatch:
         return self._probe_hash(probe, probe_is_left, stored)
 
     def probe_batch(
-        self, probes: Sequence[StreamTuple], flags: Sequence[bool]
+        self, probes: ArenaSlice, flags: Sequence[bool]
     ) -> List[List[int]]:
         """Per-probe match lists; the CSS baseline probes one at a time.
 

@@ -36,6 +36,7 @@ import time
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
+from ..core.arena import ArenaSlice
 from ..core.bitset import BitSet
 from ..core.iejoin import compute_offset_array, compute_permutation
 from ..core.immutable import get_backend
@@ -184,6 +185,10 @@ class _MergeClock:
 
     def advance(self, t: StreamTuple) -> bool:
         """Returns True when this tuple closes a merge interval."""
+        return self.tick(t.event_time)
+
+    def tick(self, event_time: float) -> bool:
+        """:meth:`advance` from the event time alone (column scans)."""
         if self.kind is WindowKind.COUNT:
             self._count += 1
             if self._count >= self.policy.delta:
@@ -192,9 +197,9 @@ class _MergeClock:
                 return True
             return False
         if self._next_time is None:
-            self._next_time = t.event_time + self.policy.delta
+            self._next_time = event_time + self.policy.delta
             return False
-        if t.event_time >= self._next_time:
+        if event_time >= self._next_time:
             self._next_time += self.policy.delta
             self.epoch += 1
             return True
@@ -758,56 +763,66 @@ class POJoinOperator(Operator):
     def process_batch(self, batch: TupleBatch, ctx) -> None:
         """Probe a router batch against the linked list in batched runs.
 
-        Tuples are accumulated into a *run* that is probed with one
+        A *run* is a sub-slice ``batch.tuples[start:k]`` probed with one
         ``probe_all_batch`` call; the run is flushed before any state
         change the scalar path would interleave — a merge boundary (the
         boundary may link an early batch, changing what later tuples may
         see) or the start of flag-tuple queueing — so every tuple probes
-        exactly the list state it would have seen tuple-at-a-time.
+        exactly the list state it would have seen tuple-at-a-time.  The
+        clock scans the event-time column, so a merge-free batch is
+        probed without building a single per-tuple view.
         """
         if self.config.state_strategy == "dc":
             # Scalar mode reads the cache per tuple; all tuples of a
             # batch share one service instant, so one read is identical.
             self._expire_from_cache(ctx)
+        tuples = batch.tuples
         total_makespan = 0.0
         probed_any = False
-        run: List[StreamTuple] = []
-        for t in batch.tuples:
+        start = 0  # the open run is tuples[start:k]
+        for k, event_time in enumerate(tuples.event_time_values().tolist()):
             self._tuples_seen += 1
             if self._awaited:
-                if run:
-                    total_makespan += self._probe_run(run, ctx)
-                    run = []
-                self._queue.append((t, self._clock.epoch))
-                self._advance_clock(t)
+                if start < k:
+                    total_makespan += self._probe_run(tuples[start:k], ctx)
+                start = k + 1
+                self._queue.append((tuples[k], self._clock.epoch))
+                if self._clock.tick(event_time):
+                    self._on_boundary()
                 continue
             if not probed_any:
                 ctx.mark("joiner")
                 probed_any = True
-            run.append(t)
-            if self._clock.advance(t):
-                total_makespan += self._probe_run(run, ctx)
-                run = []
+            if self._clock.tick(event_time):
+                total_makespan += self._probe_run(tuples[start : k + 1], ctx)
+                start = k + 1
                 self._on_boundary()
-        if run:
-            total_makespan += self._probe_run(run, ctx)
+        if start < len(tuples):
+            total_makespan += self._probe_run(tuples[start:], ctx)
         if probed_any:
             ctx.charge(total_makespan)
             if ctx.observing:
                 ctx.observe_cost("immutable_probe", total_makespan)
 
-    def _probe_run(self, run: List[StreamTuple], ctx) -> float:
-        flags = [self.config.probe_is_left(t) for t in run]
+    def _probe_run(self, run: ArenaSlice, ctx) -> float:
+        if self.config.two_stream:
+            flags = run.stream_flags(self.config.left_stream).tolist()
+        else:
+            flags = [True] * len(run)
         outcome = self.list.probe_all_batch(
             run, flags, self.config.num_threads
         )
-        for t, matches in zip(run, outcome.per_probe):
+        for tid, event_time, matches in zip(
+            run.tids_list(),
+            run.event_time_values().tolist(),
+            outcome.per_probe,
+        ):
             ctx.record(
                 "immutable_result",
                 {
-                    "tid": t.tid,
+                    "tid": tid,
                     "matches": matches,
-                    "event_time": t.event_time,
+                    "event_time": event_time,
                     "pe": self._pe_index,
                 },
             )
@@ -861,8 +876,7 @@ class POJoinOperator(Operator):
         del self._assembly[merge_id]
         self._build_batch(merge_id, parts, ctx)
         self._awaited.discard(merge_id)
-        if not self._awaited:
-            self._drain_queue(ctx)
+        self._drain_queue(ctx)
 
     def _build_batch(self, merge_id: int, parts: Dict[str, object], ctx) -> None:
         observing = ctx.observing
@@ -904,8 +918,19 @@ class POJoinOperator(Operator):
             self._expire_by_merge_id(merge_batch.batch_id)
 
     def _drain_queue(self, ctx) -> None:
+        """Probe the queued tuples whose merge intervals have all linked.
+
+        A tuple queued at epoch ``limit`` joins with the batches below
+        ``limit``, so it can go as soon as no awaited merge precedes
+        ``limit``.  Holding it until *nothing* is awaited would let the
+        links of later merges expire batches it still has to see when
+        merge parts run more than one interval late.
+        """
+        horizon = min(self._awaited, default=None)
         drained = 0
-        while self._queue:
+        while self._queue and (
+            horizon is None or self._queue[0][1] <= horizon
+        ):
             t, limit = self._queue.popleft()
             self._probe(t, ctx, batch_id_lt=limit)
             drained += 1

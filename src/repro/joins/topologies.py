@@ -24,7 +24,6 @@ import functools
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
-from ..core.arena import event_times_of, tids_of
 from ..core.checkpoint import checkpoint as checkpoint_join
 from ..core.checkpoint import restore as restore_join
 from ..core.query import QuerySpec
@@ -387,20 +386,20 @@ class SPOJoinerOperator(Operator):
                 else:
                     ctx.observe_event("degrade_off", caught_up=pending)
         degraded = self.join.degraded
+        stamps: Iterable[Tuple[int, float]]
         if isinstance(payload, TupleBatch):
-            # ArenaBatch payloads expose their zero-copy slice; the join
-            # then consumes column views all the way down.
-            tuples = getattr(payload, "slice", None)
-            if tuples is None:
-                tuples = list(payload.tuples)
-            pairs = self.join.process_many(tuples)
+            batch = payload.tuples
+            pairs = self.join.process_many(batch)
+            stamps = zip(
+                batch.tids_list(), batch.event_time_values().tolist()
+            )
         else:
-            tuples = [payload]
             pairs = self.join.process(payload)
+            stamps = [(payload.tid, payload.event_time)]
         by_tid: Dict[int, List[int]] = {}
         for tid, match in pairs:
             by_tid.setdefault(tid, []).append(match)
-        for tid, event_time in zip(tids_of(tuples), event_times_of(tuples)):
+        for tid, event_time in stamps:
             entry = {
                 "tid": tid,
                 "matches": sorted(by_tid.get(tid, ())),
@@ -488,12 +487,12 @@ class HashJoinerOperator(Operator, _SideRouting):
 # under the "spawn"/"forkserver" start methods, and lambdas don't
 # pickle.  Parent-side bolts (routers) may keep closures.
 # ----------------------------------------------------------------------
-def _base(source, batch_size: int = 1, columnar: bool = True) -> Topology:
+def _base(source, batch_size: int = 1) -> Topology:
     topo = Topology()
     topo.add_spout("source", source)
     topo.add_bolt(
         "router",
-        lambda: RouterOperator(batch_size=batch_size, columnar=columnar),
+        lambda: RouterOperator(batch_size=batch_size),
         parallelism=1,
         inputs=[("source", Grouping.shuffle())],
     )
@@ -540,16 +539,14 @@ def build_spo_local_topology(
     query: QuerySpec,
     window: WindowSpec,
     batch_size: int = 1,
-    columnar: bool = True,
     **join_kwargs,
 ) -> Topology:
     """Router + one checkpointable SPO joiner PE (the chaos-test shape).
 
     ``join_kwargs`` forward to :class:`SPOJoinerOperator` (sub_intervals,
-    evaluator, immutable_backend, bptree_order, ...); ``columnar``
-    selects the router's data plane (arena slices vs boxed tuples).
+    evaluator, immutable_backend, bptree_order, ...).
     """
-    topo = _base(source, batch_size, columnar)
+    topo = _base(source, batch_size)
     topo.add_bolt(
         "joiner",
         functools.partial(SPOJoinerOperator, query, window, **join_kwargs),

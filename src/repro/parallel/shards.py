@@ -24,7 +24,7 @@ from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.arena import ArenaSlice, TupleArena
+from ..core.arena import ArenaSlice
 from ..core.predicates import BandPredicate, Op, Predicate
 from ..core.query import QuerySpec
 from ..core.window import MergePolicy, WindowKind, WindowSpec
@@ -277,7 +277,6 @@ class ShardRouterOperator(RouterOperator):
             batch_size=batch_size,
             flush_timeout=flush_timeout,
             cut_fn=None,
-            columnar=True,
         )
         self.query = query
         self.window = window
@@ -313,26 +312,9 @@ class ShardRouterOperator(RouterOperator):
 
     # ------------------------------------------------------------------
     def process(self, payload, ctx) -> None:
-        # Always the buffered columnar path (even at batch_size=1): the
-        # shard split needs the arena's column views.
-        raw = payload
-        if (
-            self.flush_timeout is not None
-            and self._buffered()
-            and ctx.now - self._buffer_opened >= self.flush_timeout
-        ):
-            self._flush_buffer(ctx)
-        if not self._buffered():
-            self._buffer_opened = ctx.now
-        if self._arena is None:
-            self._arena = TupleArena(capacity=self.batch_size)
-        slot = self._arena.append(
-            self._next_tid, raw.stream, raw.values, raw.event_time
-        )
-        tuple_ = self._arena.view(slot)
-        self._next_tid += 1
-        self._on_stamped(tuple_, ctx)
-        self._buffer_origins.append(ctx.origin_time)
+        # Always the buffered path (even at batch_size=1): the shard
+        # split needs the arena's column views.
+        tuple_ = self._stamp_into_batch(payload, ctx)
         fired = self._advance_clock(tuple_)
         if fired or self._buffered() >= self.batch_size:
             self._flush_buffer(ctx)

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.arena import ArenaSlice, column_of, event_times_of, tids_of
+from ..core.arena import ArenaSlice
 from ..core.checkpoint import batch_from_state, batch_state, component_tuples
 from ..core.immutable import get_backend
 from ..core.merge import MergeBatch, _side_from_runs, build_merge_batch_from_runs
@@ -142,7 +142,9 @@ class ShardSPOJoin:
             return pred
         return None
 
-    def _prefilter_positions(self, probes: Sequence) -> Optional[List[int]]:
+    def _prefilter_positions(
+        self, probes: ArenaSlice
+    ) -> Optional[List[int]]:
         """Positions of probes that may still match, or None for "all".
 
         A probe survives iff the stored-value range ``[f_lo, f_hi]`` of
@@ -154,7 +156,7 @@ class ShardSPOJoin:
             return None
         if self._f_lo > self._f_hi:
             return []
-        pvals = column_of(probes, pred.left_field)
+        pvals = probes.field_values(pred.left_field)
         if isinstance(pred, BandPredicate):
             if pred.inclusive:
                 keep = (pvals - pred.width <= self._f_hi) & (
@@ -181,8 +183,8 @@ class ShardSPOJoin:
     # ------------------------------------------------------------------
     def process_shard_batch(
         self,
-        probes: Sequence,
-        stores: Sequence,
+        probes: ArenaSlice,
+        stores: ArenaSlice,
         stores_before: Sequence[int],
     ) -> List[Tuple[int, List[int], float]]:
         """Insert this shard's stores, answer this shard's probes.
@@ -197,7 +199,7 @@ class ShardSPOJoin:
         if len(stores):
             self.mutable.insert_many(stores)
             if self._filter_pred is not None:
-                vals = column_of(stores, self._filter_pred.right_field)
+                vals = stores.field_values(self._filter_pred.right_field)
                 # NaN stores can never match; keep them out of the range
                 # (a NaN min/max would freeze or poison the bounds).
                 real = vals[~np.isnan(vals)]
@@ -220,10 +222,7 @@ class ShardSPOJoin:
         else:
             self.prefiltered_probes += n - len(kept)
             positions = kept
-            if isinstance(probes, ArenaSlice):
-                group = probes.take(kept)
-            else:
-                group = [probes[i] for i in kept]
+            group = probes.take(kept)
             bounds = [pre + stores_before[i] for i in kept]
         if len(bounds):
             flags = [True] * len(bounds)
@@ -237,7 +236,7 @@ class ShardSPOJoin:
                 matches[pos] = mut + imm
         results: List[Tuple[int, List[int], float]] = []
         for tid, event_time, found in zip(
-            tids_of(probes), event_times_of(probes), matches
+            probes.tids_list(), probes.event_time_values().tolist(), matches
         ):
             self.stats.tuples_processed += 1
             self.stats.matches_emitted += len(found)

@@ -187,33 +187,13 @@ class TestCLI:
             < at_2x["block"]["p99_joiner_wait_s"]
         )
 
-    def test_arena_experiment(self, capsys, tmp_path):
-        out_file = tmp_path / "bench_arena.json"
-        assert main(
-            ["arena", "--tuples", "300", "--json-out", str(out_file)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "Backend parity" in out
-        import json
-
-        payload = json.loads(out_file.read_text())["arena"]
-        paths = payload["paths"]
-        assert paths["object"]["matches"] == paths["arena"]["matches"]
-        rows = payload["backend_parity"]
-        assert [r["batch_size"] for r in rows] == [1, 7, 64]
-        assert all(r["identical"] for r in rows)
-
-    def test_committed_arena_entry_meets_acceptance(self):
-        # The committed BENCH.json entry demonstrates the cross-backend
-        # fingerprint gate and object/arena match equality.
+    def test_committed_batching_entry_meets_acceptance(self):
+        # The committed BENCH.json entry's top batch size is >= 2x the
+        # scalar loop.
         import json
         import pathlib
 
         bench = pathlib.Path(__file__).parents[2] / "BENCH.json"
-        payload = json.loads(bench.read_text())["arena"]
-        paths = payload["paths"]
-        assert paths["object"]["matches"] == paths["arena"]["matches"]
-        assert all(r["identical"] for r in payload["backend_parity"])
         batching = json.loads(bench.read_text())["batching"]
         top = max(r["batch_size"] for r in batching["results"])
         (speedup,) = [
@@ -221,7 +201,7 @@ class TestCLI:
             for r in batching["results"]
             if r["batch_size"] == top
         ]
-        assert speedup >= 2.0  # the committed arena-plane batching win
+        assert speedup >= 2.0
 
     def test_committed_skew_entry_meets_acceptance(self):
         # The committed BENCH.json entry demonstrates the adaptive

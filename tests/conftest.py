@@ -9,6 +9,7 @@ from typing import List
 import pytest
 
 from repro.core import JoinType, Op, QuerySpec, StreamTuple, WindowSpec, make_tuple
+from repro.core.arena import ArenaTuple
 from repro.core.window import MergePolicy
 
 ALL_OPS = [Op.LT, Op.GT, Op.LE, Op.GE, Op.EQ, Op.NE]
@@ -50,6 +51,27 @@ def interleaved_rs(n: int, seed: int = 0, lo: int = 0, hi: int = 25) -> List[Str
         )
         for i in range(n)
     ]
+
+
+class NoTupleViews:
+    """Context manager failing the test if any ArenaTuple is built.
+
+    The view budget of the batch paths: columns in, columns out, no
+    per-row Python object in between.
+    """
+
+    def __enter__(self):
+        self._orig = ArenaTuple.__init__
+
+        def forbidden(obj, arena, slot):
+            raise AssertionError("per-tuple view materialised")
+
+        ArenaTuple.__init__ = forbidden
+        return self
+
+    def __exit__(self, *exc):
+        ArenaTuple.__init__ = self._orig
+        return False
 
 
 class ReferenceWindowJoin:

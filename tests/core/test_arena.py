@@ -20,15 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import make_tuple
-from repro.core.arena import (
-    ArenaSlice,
-    ArenaTuple,
-    TupleArena,
-    column_of,
-    event_times_of,
-    flags_of,
-    tids_of,
-)
+from repro.core.arena import ArenaSlice, ArenaTuple, TupleArena
 from repro.core.tuples import StreamTuple
 
 from ..conftest import interleaved_rs, random_tuples
@@ -197,22 +189,26 @@ class TestArenaSlice:
 
 
 # ----------------------------------------------------------------------
-# Compatibility shims accept both planes
+# Slice accessors agree with the boxed tuples the slice was stamped from
 # ----------------------------------------------------------------------
 class TestShims:
     def test_shims_equal_across_planes(self):
         data = interleaved_rs(11, seed=11)
         sl = ArenaSlice.of(data)
-        assert column_of(sl, 0).tolist() == column_of(data, 0).tolist()
-        assert tids_of(sl) == tids_of(data)
-        assert flags_of(sl, "R") == flags_of(data, "R")
-        assert event_times_of(sl) == event_times_of(data)
+        assert sl.field_values(0).tolist() == [t.values[0] for t in data]
+        assert sl.tids_list() == [t.tid for t in data]
+        assert sl.stream_flags("R").tolist() == [t.stream == "R" for t in data]
+        assert sl.event_time_values().tolist() == [
+            t.event_time for t in data
+        ]
 
     def test_shims_return_pure_python(self):
         sl = ArenaSlice.of(interleaved_rs(4, seed=12))
-        assert all(type(x) is int for x in tids_of(sl))
-        assert all(type(x) is bool for x in flags_of(sl, "R"))
-        assert all(type(x) is float for x in event_times_of(sl))
+        assert all(type(x) is int for x in sl.tids_list())
+        assert all(type(x) is bool for x in sl.stream_flags("R").tolist())
+        assert all(
+            type(x) is float for x in sl.event_time_values().tolist()
+        )
 
 
 # ----------------------------------------------------------------------

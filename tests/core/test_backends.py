@@ -126,7 +126,7 @@ class TestSQLBatch:
         try:
             for probe in random_tuples(40, start_tid=1000, seed=52):
                 assert sql.probe(probe, True) == vec.probe(probe, True)
-            probes = random_tuples(25, start_tid=2000, seed=53)
+            probes = ArenaSlice.of(random_tuples(25, start_tid=2000, seed=53))
             flags = [True] * len(probes)
             assert sql.probe_batch(probes, flags) == vec.probe_batch(
                 probes, flags

@@ -86,13 +86,11 @@ class TestBatchProbeIntervals:
 class TestVectorBatchEdges:
     def test_probe_batch_empty_probe_list(self):
         __, batch = self_join_batch(random_tuples(10, seed=20))
-        assert batch.probe_batch([], []) == []
         assert batch.probe_batch(ArenaSlice.of([]), []) == []
 
     def test_probe_batch_empty_stored_side(self):
         __, batch = self_join_batch([])
         probes = random_tuples(5, seed=21)
-        assert batch.probe_batch(probes, [True] * 5) == [[]] * 5
         assert batch.probe_batch(
             ArenaSlice.of(probes), [True] * 5
         ) == [[]] * 5
@@ -114,7 +112,9 @@ class TestVectorBatchEdges:
         r_probe = make_tuple(101, "S", 30, -30)
         assert batch.probe(l_probe, True) == []
         assert len(batch.probe(r_probe, False)) == 6
-        out = batch.probe_batch([l_probe, r_probe], [True, False])
+        out = batch.probe_batch(
+            ArenaSlice.of([l_probe, r_probe]), [True, False]
+        )
         assert out[0] == [] and len(out[1]) == 6
 
 
@@ -132,4 +132,3 @@ class TestJoinEdges:
             join.process(t)
         window = join.mutable_left
         assert window.evaluate_batch(ArenaSlice.of([]), []) == []
-        assert window.evaluate_batch([], []) == []

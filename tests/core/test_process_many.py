@@ -22,8 +22,15 @@ from repro.core import (
     WindowSpec,
     make_tuple,
 )
+from repro.core.arena import ArenaSlice
 
-from ..conftest import INEQ_OPS, ReferenceWindowJoin, interleaved_rs, random_tuples
+from ..conftest import (
+    INEQ_OPS,
+    NoTupleViews,
+    ReferenceWindowJoin,
+    interleaved_rs,
+    random_tuples,
+)
 
 CHUNKINGS = [1, 7, 64]
 
@@ -202,7 +209,7 @@ class TestEvaluateBatch:
         probes = tuples[40:]
         flags = [True] * len(probes)
         expected = [window.evaluate(t, True) for t in probes]
-        assert window.evaluate_batch(probes, flags) == expected
+        assert window.evaluate_batch(ArenaSlice.of(probes), flags) == expected
 
     def test_bounds_limit_visibility(self, q3_query):
         from repro.core.mutable import MutableComponent
@@ -213,9 +220,10 @@ class TestEvaluateBatch:
             window.insert(t)
         probe = tuples[-1]
         # bound 0 sees nothing; full bound sees the scalar answer.
-        assert window.evaluate_batch([probe], [True], [0]) == [[]]
+        probes = ArenaSlice.of([probe])
+        assert window.evaluate_batch(probes, [True], [0]) == [[]]
         full = window.evaluate(probe, True)
-        assert window.evaluate_batch([probe], [True], [len(tuples)]) == [full]
+        assert window.evaluate_batch(probes, [True], [len(tuples)]) == [full]
 
 
 class TestProbeBatch:
@@ -236,5 +244,29 @@ class TestProbeBatch:
         probes = tuples[60:]
         flags = [True] * len(probes)
         expected = [batch.probe(t, True) for t in probes]
-        got = batch.probe_batch(probes, flags)
+        got = batch.probe_batch(ArenaSlice.of(probes), flags)
         assert [sorted(m) for m in got] == [sorted(m) for m in expected]
+
+
+class TestViewBudget:
+    """``process_many`` over a slice reads columns only: zero
+    :class:`ArenaTuple` views from stamp to pairs, merges included."""
+
+    @staticmethod
+    def run_without_views(join, tuples, chunk=16):
+        slices = [
+            ArenaSlice.of(tuples[i : i + chunk])
+            for i in range(0, len(tuples), chunk)
+        ]
+        with NoTupleViews():
+            pairs = [p for sl in slices for p in join.process_many(sl)]
+        assert pairs and join.stats.merges >= 2
+        assert join.stats.immutable_matches > 0
+
+    def test_q3_self_join_count_window(self, q3_query):
+        join = SPOJoin(q3_query, WindowSpec.count(80, 20))
+        self.run_without_views(join, random_tuples(200, seed=41))
+
+    def test_q1_cross_join_time_window(self, q1_query):
+        join = SPOJoin(q1_query, WindowSpec.time(0.08, 0.02))
+        self.run_without_views(join, interleaved_rs(200, seed=42))

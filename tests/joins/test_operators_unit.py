@@ -2,9 +2,20 @@
 
 import pytest
 
-from repro.core import JoinType, Op, QuerySpec, WindowSpec, make_tuple
+from repro.core import JoinType, Op, QuerySpec, SPOJoin, WindowSpec, make_tuple
+from repro.core.arena import ArenaSlice
+from repro.core.iejoin import compute_permutation
 from repro.core.window import MergePolicy
-from repro.joins.operators import SPOConfig, _MergeClock
+from repro.dspe import TupleBatch
+from repro.indexes.sorted_run import SortedRun
+from repro.joins.operators import (
+    PermMsg,
+    POJoinOperator,
+    SPOConfig,
+    _MergeClock,
+)
+
+from ..conftest import NoTupleViews, random_tuples
 
 
 class TestMergeClock:
@@ -80,3 +91,108 @@ class TestSPOConfig:
     def test_invalid_batch_size_rejected(self, q3_query):
         with pytest.raises(ValueError):
             SPOConfig(q3_query, WindowSpec.count(100, 20), batch_size=0)
+
+
+class RecordingCtx:
+    """Minimal operator context for a lone PO-Join PE."""
+
+    observing = False
+    pe_index = 0
+    num_pes = 1
+    now = 0.0
+
+    def __init__(self):
+        self.records = []
+
+    def mark(self, component):
+        pass
+
+    def charge(self, seconds):
+        pass
+
+    def record(self, name, payload):
+        self.records.append((name, payload))
+
+
+def perm_msg(query, merge_id, stored):
+    """The merge parts a self-join PO-Join PE needs for one interval."""
+    runs = [
+        SortedRun.from_unsorted_entries(
+            (t.values[pred.right_field], t.tid) for t in stored
+        )
+        for pred in query.predicates
+    ]
+    return PermMsg(
+        merge_id, "left", runs, compute_permutation(runs[0], runs[1])
+    )
+
+
+class TestPOJoinBatchPath:
+    def test_merge_free_batch_probes_without_tuple_views(self, q3_query):
+        config = SPOConfig(q3_query, WindowSpec.count(100, 20), batch_size=8)
+        op = POJoinOperator(config)
+        ctx = RecordingCtx()
+        op.setup(ctx)
+        # Twenty scalar tuples close merge interval 0, which this (only)
+        # PE owns; its merge parts then link the first immutable batch.
+        stored = random_tuples(20, seed=31)
+        for t in stored:
+            op.process(t, ctx)
+        op.process(perm_msg(q3_query, 0, stored), ctx)
+        assert len(op.list) == 1
+
+        probes = random_tuples(8, start_tid=20, seed=32)
+        expected = [op.list.probe_all(t, True).matches for t in probes]
+        assert any(expected)
+        batch = TupleBatch(ArenaSlice.of(probes), [0.0] * len(probes))
+        del ctx.records[:]
+        with NoTupleViews():
+            op.process(batch, ctx)
+        results = [p for name, p in ctx.records if name == "immutable_result"]
+        assert [r["tid"] for r in results] == [t.tid for t in probes]
+        assert [r["matches"] for r in results] == expected
+        assert [r["event_time"] for r in results] == [
+            t.event_time for t in probes
+        ]
+
+
+class TestPOJoinLateMergeParts:
+    def test_queued_tuples_drain_before_later_links_expire_their_window(
+        self, q3_query
+    ):
+        """Merge parts running several intervals late must not cost
+        queued tuples the batches they arrived in time to see."""
+        window = WindowSpec.count(40, 10)
+        tuples = random_tuples(70, seed=33)
+        local = SPOJoin(q3_query, window)
+        expected = {}
+        for t in tuples:
+            interval_start = t.tid - t.tid % 10
+            expected[t.tid] = sorted(
+                m for __, m in local.process(t) if m < interval_start
+            )
+
+        op = POJoinOperator(SPOConfig(q3_query, window))
+        ctx = RecordingCtx()
+        op.setup(ctx)
+
+        def interval(m):
+            return tuples[10 * m : 10 * m + 10]
+
+        for m in range(3):  # merges 0-2 link on time
+            for t in interval(m):
+                op.process(t, ctx)
+            op.process(perm_msg(q3_query, m, interval(m)), ctx)
+        for m in range(3, 7):  # merges 3-6 are awaited; tuples queue up
+            for t in interval(m):
+                op.process(t, ctx)
+        for m in range(3, 6):  # the late parts finally arrive, in order
+            op.process(perm_msg(q3_query, m, interval(m)), ctx)
+
+        got = {
+            p["tid"]: sorted(p["matches"])
+            for name, p in ctx.records
+            if name == "immutable_result"
+        }
+        assert any(expected[tid] for tid in range(40, 70))
+        assert got == expected

@@ -9,8 +9,10 @@ import pickle
 import numpy as np
 
 from repro.core.arena import ArenaSlice, ArenaTuple, TupleArena
-from repro.dspe.router import ArenaBatch
+from repro.dspe.engine import TupleBatch
 from repro.parallel import ShardBatch
+
+from ..conftest import NoTupleViews
 
 
 def _arena(n: int = 10) -> TupleArena:
@@ -32,25 +34,6 @@ def _assert_bit_identical(a: ArenaSlice, b: ArenaSlice) -> None:
     assert [t.event_time for t in a] == [t.event_time for t in b]
 
 
-class _NoTupleViews:
-    """Context manager failing the test if any ArenaTuple is built."""
-
-    def __enter__(self):
-        self._orig = ArenaTuple.__init__
-
-        def forbidden(obj, arena, slot):
-            raise AssertionError(
-                "per-tuple view materialised during wire round-trip"
-            )
-
-        ArenaTuple.__init__ = forbidden
-        return self
-
-    def __exit__(self, *exc):
-        ArenaTuple.__init__ = self._orig
-        return False
-
-
 def test_contiguous_slice_round_trip_bit_identical():
     sl = _arena().slice()
     _assert_bit_identical(ArenaSlice.from_wire(sl.to_wire()), sl)
@@ -66,18 +49,18 @@ def test_indexed_slice_round_trip_bit_identical():
 
 def test_slice_pickle_round_trip_without_tuple_views():
     sl = _arena().slice()
-    with _NoTupleViews():
+    with NoTupleViews():
         payload = pickle.dumps(sl)
         back = pickle.loads(payload)
     _assert_bit_identical(back, sl)
 
 
-def test_arena_batch_pickle_round_trip_without_tuple_views():
+def test_tuple_batch_pickle_round_trip_without_tuple_views():
     sl = _arena().slice()
-    batch = ArenaBatch(sl, origin_times=[0.1] * len(sl))
-    with _NoTupleViews():
+    batch = TupleBatch(sl, origin_times=[0.1] * len(sl))
+    with NoTupleViews():
         back = pickle.loads(pickle.dumps(batch))
-    _assert_bit_identical(back.slice, sl)
+    _assert_bit_identical(back.tuples, sl)
     assert back.origin_times == batch.origin_times
 
 
@@ -86,7 +69,7 @@ def test_shard_batch_pickle_round_trip_without_tuple_views():
     probes = sl.take(np.array([0, 2, 4]))
     stores = sl.take(np.array([1, 3]))
     shard_batch = ShardBatch(2, probes, stores, [0, 1, 2])
-    with _NoTupleViews():
+    with NoTupleViews():
         back = pickle.loads(pickle.dumps(shard_batch))
     assert back.shard == 2
     assert back.stores_before == [0, 1, 2]
