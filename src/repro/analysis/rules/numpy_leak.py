@@ -16,7 +16,8 @@ converted (``float()`` / ``int()`` / ``bool()`` / ``.item()`` /
 
 Detection is per-function taint tracking, purely syntactic: names bound
 from ``np.*`` calls or known array-producing methods
-(``values_array``, ``tid_column``, ``field_values``, ...) are arrays;
+(``values_array``, ``tid_column``, ``field_values``, ...) or read off a
+known array attribute (``MatchBatch.match_tids``, ...) are arrays;
 subscripting an array (non-slice) or calling a reducer (``.max()``,
 ``.sum()``, ...) yields a tainted scalar; conversions sanitize.
 """
@@ -30,9 +31,17 @@ from ..findings import Finding
 from . import ModuleInfo, Rule, register_rule
 from .common import AnyFunctionDef, ImportMap, dotted_name, iter_functions
 
-#: Method names that produce numpy arrays in this codebase (arena,
-#: sorted-run column caches, slice views).
+#: Method and attribute names that produce numpy arrays in this
+#: codebase (arena, sorted-run column caches, slice views, and the CSR
+#: result plane of ``repro.core.matches``).
 ARRAY_PRODUCERS = {
+    "match_tids",
+    "probe_tids",
+    "offsets",
+    "counts",
+    "probe_column",
+    "interleave",
+    "concat",
     "values_array",
     "tids_array",
     "tid_column",
@@ -147,6 +156,8 @@ class _Taint(ast.NodeVisitor):
             return True
         name = dotted_name(node)
         if name is not None and name in self.arrays:
+            return True
+        if isinstance(node, ast.Attribute) and node.attr in ARRAY_PRODUCERS:
             return True
         # Slicing an array is still an array.
         if isinstance(node, ast.Subscript) and isinstance(

@@ -14,6 +14,7 @@ from .iejoin import (
 )
 from .immutable import ImmutableBatch, scalar_probe_batch
 from .logical import LogicalAndOperator, LogicalResult
+from .matches import MatchBatch
 from .merge import MergeBatch, MergeSide, build_merge_batch, sorted_run_from_tree
 from .mutable import MutableComponent
 from .pojoin import BatchProbeOutcome, POJoinBatch, POJoinList, ProbeOutcome
@@ -46,6 +47,7 @@ __all__ = [
     "sorted_run_from_tree",
     "ImmutableBatch",
     "scalar_probe_batch",
+    "MatchBatch",
     "POJoinBatch",
     "POJoinList",
     "ProbeOutcome",

@@ -31,6 +31,8 @@ import sqlite3
 from typing import List, Optional, Sequence
 
 from .arena import ArenaSlice
+from .immutable import scalar_probe_batch
+from .matches import MatchBatch
 from .merge import MergeBatch, MergeSide
 from .query import QuerySpec
 from .tuples import StreamTuple
@@ -162,9 +164,11 @@ class SQLImmutableBatch:
 
     def probe_batch(
         self, probes: ArenaSlice, flags: Sequence[bool]
-    ) -> List[List[int]]:
+    ) -> MatchBatch:
         """One range query per probe (SELECTs do not batch in sqlite)."""
-        return [self.probe(t, f) for t, f in zip(probes, flags)]
+        return MatchBatch.from_rows(
+            probes.tid_values(), scalar_probe_batch(self, probes, flags)
+        )
 
     # ------------------------------------------------------------------
     # Accounting

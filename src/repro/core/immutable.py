@@ -11,7 +11,8 @@ through this protocol.  The batch-first execution core relies on
 structure in a single call, so per-probe interpreter overhead is paid once
 per batch instead of once per tuple.
 
-Implementations must guarantee that ``probe_batch`` returns exactly
+Implementations must guarantee that the rows of the
+:class:`~repro.core.matches.MatchBatch` ``probe_batch`` returns are exactly
 ``[probe(t, f) for t, f in zip(probes, flags)]`` — the scalar and batched
 paths are interchangeable, which the equivalence property tests assert.
 """
@@ -29,6 +30,7 @@ from typing import (
 )
 
 from .arena import ArenaSlice
+from .matches import MatchBatch
 from .tuples import StreamTuple
 
 __all__ = [
@@ -68,11 +70,11 @@ class ImmutableBatch(Protocol):
 
     def probe_batch(
         self, probes: ArenaSlice, flags: Sequence[bool]
-    ) -> List[List[int]]:
-        """Per-probe match lists for a micro-batch of tuples.
+    ) -> MatchBatch:
+        """Matches of a micro-batch of tuples, one row per probe.
 
-        ``flags[i]`` is ``probe_is_left`` for ``probes[i]``.  Must equal
-        the scalar ``probe`` applied element-wise.
+        ``flags[i]`` is ``probe_is_left`` for ``probes[i]``.  Row ``i``
+        must equal the scalar ``probe(probes[i], flags[i])``.
         """
         ...
 
@@ -80,10 +82,10 @@ class ImmutableBatch(Protocol):
 def scalar_probe_batch(
     batch, probes: Iterable[StreamTuple], flags: Sequence[bool]
 ) -> List[List[int]]:
-    """Reference ``probe_batch``: one scalar probe per tuple.
+    """Reference ``probe_batch`` rows: one scalar probe per tuple.
 
-    Used as the fallback for representations without a vectorized path,
-    and by tests as the ground truth the vectorized paths must match.
+    What representations without a vectorized path build their result
+    from, and the ground truth tests hold the vectorized paths to.
     """
     return [batch.probe(t, flag) for t, flag in zip(probes, flags)]
 

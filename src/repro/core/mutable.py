@@ -23,6 +23,7 @@ import numpy as np
 from ..indexes.bptree import BPlusTree
 from .arena import ArenaSlice, TupleArena
 from .bitset import BitSet
+from .matches import MatchBatch
 from .pojoin_numpy import batch_probe_intervals
 from .predicates import Predicate
 from .query import QuerySpec
@@ -70,7 +71,6 @@ class MutableComponent:
             BPlusTree(order) for __ in query.predicates
         ]
         self._arrival: List[int] = []  # slot -> tid, in router order
-        self._slots: Dict[int, int] = {}  # tid -> slot
         #: Columnar shadow of the window, slot-aligned with ``_arrival``.
         #: The batched evaluator sorts its field columns instead of
         #: scanning tree leaves, and checkpoints read exact payloads
@@ -117,7 +117,6 @@ class MutableComponent:
         """
         slot = len(self._arrival)
         self._arrival.append(t.tid)
-        self._slots[t.tid] = slot
         self.arena.append_tuple(t)
         payload = slot if self.evaluator == "bit" else t.tid
         for pred, tree in zip(self.query.predicates, self.trees):
@@ -141,8 +140,6 @@ class MutableComponent:
         start_slot = len(self._arrival)
         tids = probes.tids_list()
         self._arrival.extend(tids)
-        for i, tid in enumerate(tids):
-            self._slots[tid] = start_slot + i
         self.arena.extend_slice(probes)
         bit = self.evaluator == "bit"
         for pred, tree in zip(self.query.predicates, self.trees):
@@ -256,7 +253,7 @@ class MutableComponent:
         probes: ArenaSlice,
         flags: Sequence[bool],
         bounds: Optional[Sequence[int]] = None,
-    ) -> List[List[int]]:
+    ) -> MatchBatch:
         """Batched :meth:`evaluate`: one tree pass serves every probe.
 
         ``flags[i]`` is ``probe_is_left`` for ``probes[i]``.  ``bounds``
@@ -271,7 +268,8 @@ class MutableComponent:
         sorted ``(value, slot)`` arrays, the whole batch's interval
         bounds come from one ``np.searchsorted`` per predicate, and the
         per-probe bit arrays (boolean rows reused across predicates) are
-        ANDed in place.  The hash baseline has no slot order to exploit
+        ANDed in place; the set slots of all probes are gathered into
+        tuple ids once.  The hash baseline has no slot order to exploit
         and falls back to per-probe :meth:`evaluate`.
         """
         n = len(self._arrival)
@@ -280,35 +278,35 @@ class MutableComponent:
             bounds = [n] * num
         if len(flags) != num or len(bounds) != num:
             raise ValueError("probes, flags, and bounds must align")
-        if num == 0:
-            return []
+        probe_tids = probes.tid_values()
         if self.evaluator != "bit":
             if any(b != n for b in bounds):
                 raise ValueError(
                     "hash evaluator cannot bound probes by slot; "
                     "process tuples one at a time instead"
                 )
-            return [self.evaluate(t, f) for t, f in zip(probes, flags)]
-        results: List[List[int]] = [[] for __ in range(num)]
-        if n == 0:
-            return results
+            return MatchBatch.from_rows(
+                probe_tids, [self.evaluate(t, f) for t, f in zip(probes, flags)]
+            )
+        if n == 0 or num == 0:
+            return MatchBatch.empty(probe_tids)
+        groups = []
         for flag in (True, False):
             idx = [j for j, f in enumerate(flags) if bool(f) == flag]
+            if len(idx) == num:
+                return self._evaluate_group(probes, bounds, flag)
             if idx:
-                self._evaluate_group(probes, bounds, idx, flag, results)
-        return results
+                found = self._evaluate_group(
+                    probes.take(idx), [bounds[j] for j in idx], flag
+                )
+                groups.append((idx, found))
+        return MatchBatch.scatter(probe_tids, groups)
 
     def _evaluate_group(
-        self,
-        probes: ArenaSlice,
-        bounds: Sequence[int],
-        idx: List[int],
-        flag: bool,
-        results: List[List[int]],
-    ) -> None:
+        self, group: ArenaSlice, bounds: Sequence[int], flag: bool
+    ) -> MatchBatch:
         n = len(self._arrival)
-        g = len(idx)
-        group = probes.take(idx)
+        g = len(group)
         cur = np.zeros((g, n), dtype=bool)
         row = np.empty(n, dtype=bool)
         for pred_pos, pred in enumerate(self.query.predicates):
@@ -318,30 +316,31 @@ class MutableComponent:
             # — without a per-entry Python scan of the leaves.
             values, slots = self._sorted_run(pred_pos)
             pvals = group.field_values(pred.probing_field(flag))
-            pairs = batch_probe_intervals(pred, pvals, values, flag)
+            intervals = [
+                (lo.tolist(), hi.tolist())
+                for lo, hi in batch_probe_intervals(pred, pvals, values, flag)
+            ]
             for j in range(g):
                 if pred_pos == 0:
                     target = cur[j]
                 else:
                     row[:] = False
                     target = row
-                for lo_arr, hi_arr in pairs:
-                    lo, hi = int(lo_arr[j]), int(hi_arr[j])
+                for los, his in intervals:
+                    lo, hi = los[j], his[j]
                     if lo < hi:
                         target[slots[lo:hi]] = True
                 if pred_pos > 0:
                     cur[j] &= row
-        tid_col = self.arena.tid_column()
-        self_join = self.query.is_self_join
-        probe_tids = group.tids_list() if self_join else None
-        for j, out_idx in enumerate(idx):
-            hit = np.nonzero(cur[j, : bounds[out_idx]])[0]
-            tids = tid_col[hit].tolist()
-            if self_join:
-                assert probe_tids is not None
-                ptid = probe_tids[j]
-                tids = [tid for tid in tids if tid != ptid]
-            results[out_idx] = tids
+        hits = [cur[j, : bounds[j]].nonzero()[0] for j in range(g)]
+        matches = MatchBatch.from_counts(
+            group.tid_values(),
+            [len(hit) for hit in hits],
+            self.arena.tid_column()[np.concatenate(hits)],
+        )
+        if self.query.is_self_join:
+            matches = matches.select(matches.match_tids != matches.probe_column())
+        return matches
 
     def intersect(self, partials: Sequence[PartialResult]) -> List[int]:
         """Logical AND across per-predicate partial results.
@@ -413,7 +412,6 @@ class MutableComponent:
             runs.append(run)
         self.trees = [BPlusTree(self.order) for __ in self.query.predicates]
         self._arrival = []
-        self._slots = {}
         self.arena = TupleArena(num_fields=self.arena.num_fields)
         self._sorted_cache = [None for __ in self.query.predicates]
         return runs

@@ -27,6 +27,7 @@ from typing import Deque, List, Optional, Sequence, Tuple
 from .arena import ArenaSlice
 from .bitset import BitSet
 from .immutable import scalar_probe_batch
+from .matches import MatchBatch
 from .merge import MergeBatch, MergeSide
 from .query import QuerySpec
 from .tuples import StreamTuple
@@ -82,9 +83,11 @@ class POJoinBatch:
 
     def probe_batch(
         self, probes: ArenaSlice, flags: Sequence[bool]
-    ) -> List[List[int]]:
-        """Per-probe match lists; the scalar batch probes one at a time."""
-        return scalar_probe_batch(self, probes, flags)
+    ) -> MatchBatch:
+        """Matches of a micro-batch; the scalar batch probes one at a time."""
+        return MatchBatch.from_rows(
+            probes.tid_values(), scalar_probe_batch(self, probes, flags)
+        )
 
     def _apply_residuals(
         self,
@@ -348,47 +351,53 @@ class POJoinList:
         """Probe a micro-batch of tuples against every linked batch.
 
         Each immutable batch is probed once for the whole micro-batch
-        (via its ``probe_batch`` when available), so its cost — and the
-        two ``perf_counter`` calls timing it — is paid once per batch of
-        tuples instead of once per tuple.  Per-tuple results equal
-        ``[probe_all(t, f, ...).matches for t, f in zip(probes, flags)]``.
+        through its ``probe_batch``, so its cost — and the two
+        ``perf_counter`` calls timing it — is paid once per batch of
+        tuples instead of once per tuple.  The outcome keeps one
+        :class:`MatchBatch` per batch probed (``parts``, list order) so a
+        caller with matches of its own to put first interleaves once;
+        row ``i`` of its ``matches`` equals
+        ``probe_all(probes[i], flags[i], ...).matches``.
         """
         if num_threads < 1:
             raise ValueError("num_threads must be >= 1")
-        per_probe: List[List[int]] = [[] for __ in range(len(probes))]
+        parts: List[MatchBatch] = []
         costs: List[float] = []
         for batch in self.batches:
             if batch_id_lt is not None and batch.batch_id >= batch_id_lt:
                 continue
             start = time.perf_counter()  # repro: allow-wallclock
-            probe_batch = getattr(batch, "probe_batch", None)
-            if probe_batch is not None:
-                rows = probe_batch(probes, flags)
-            else:
-                rows = scalar_probe_batch(batch, probes, flags)
-            for acc, row in zip(per_probe, rows):
-                acc.extend(row)
+            parts.append(batch.probe_batch(probes, flags))
             costs.append(time.perf_counter() - start)  # repro: allow-wallclock
+        if not parts:
+            parts.append(MatchBatch.empty(probes.tid_values()))
         makespan = _list_schedule_makespan(costs, num_threads)
-        return BatchProbeOutcome(per_probe, sum(costs), makespan, len(costs))
+        return BatchProbeOutcome(parts, sum(costs), makespan, len(costs))
 
 
 class BatchProbeOutcome:
     """Result of evaluating a micro-batch against a linked PO-Join list."""
 
-    __slots__ = ("per_probe", "total_cost", "makespan", "batches_probed")
+    __slots__ = ("parts", "total_cost", "makespan", "batches_probed")
 
     def __init__(
         self,
-        per_probe: List[List[int]],
+        parts: List[MatchBatch],
         total_cost: float,
         makespan: float,
         batches_probed: int,
     ) -> None:
-        self.per_probe = per_probe
+        #: One result per batch probed, all over the same probes, in
+        #: list order (a single empty one when no batch was probed).
+        self.parts = parts
         self.total_cost = total_cost
         self.makespan = makespan
         self.batches_probed = batches_probed
+
+    @property
+    def matches(self) -> MatchBatch:
+        """The parts interleaved: every probe's matches across the list."""
+        return MatchBatch.interleave(self.parts)
 
 
 def _list_schedule_makespan(costs: List[float], num_threads: int) -> float:

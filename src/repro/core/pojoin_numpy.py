@@ -37,11 +37,12 @@ element-wise.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .arena import ArenaSlice
+from .matches import MatchBatch
 from .merge import MergeBatch, MergeSide
 from .predicates import BandPredicate, Op
 from .query import QuerySpec
@@ -115,10 +116,47 @@ def batch_probe_intervals(
     return close([(zero, left), (right, full)])
 
 
+def _holds(
+    pred,
+    probe_values: np.ndarray,
+    stored_values: np.ndarray,
+    probe_is_left: bool,
+) -> np.ndarray:
+    """``pred.holds`` over aligned probe / stored value arrays."""
+    if probe_is_left:
+        left, right = probe_values, stored_values
+    else:
+        left, right = stored_values, probe_values
+    if isinstance(pred, BandPredicate):
+        lo, hi = left - pred.width, left + pred.width
+        if pred.inclusive:
+            return (lo <= right) & (right <= hi)
+        return (lo < right) & (right < hi)
+    op = pred.op
+    if op is Op.LT:
+        return left < right
+    if op is Op.GT:
+        return left > right
+    if op is Op.LE:
+        return left <= right
+    if op is Op.GE:
+        return left >= right
+    if op is Op.NE:
+        return left != right
+    return left == right
+
+
 class _VectorSide:
     """One stream's runs and permutation as numpy arrays."""
 
-    __slots__ = ("values", "tids", "permutation", "size", "merge_side")
+    __slots__ = (
+        "values",
+        "tids",
+        "permutation",
+        "size",
+        "merge_side",
+        "_columns",
+    )
 
     def __init__(self, side: MergeSide) -> None:
         self.merge_side = side
@@ -134,6 +172,24 @@ class _VectorSide:
             else None
         )
         self.size = len(side)
+        self._columns: Dict[int, np.ndarray] = {}
+
+    def column(self, pred_idx: int) -> np.ndarray:
+        """Values of predicate ``pred_idx``'s field by first-run position.
+
+        Residual predicates of 3+-predicate queries filter matches found
+        as first-run positions; built on first use, like the scalar
+        batch's ``values_of`` maps.
+        """
+        column = self._columns.get(pred_idx)
+        if column is None:
+            # Every run holds the same tuple ids, once each.
+            column = np.empty(self.size, dtype=np.float64)
+            column[np.argsort(self.tids[0], kind="stable")] = self.values[
+                pred_idx
+            ][np.argsort(self.tids[pred_idx], kind="stable")]
+            self._columns[pred_idx] = column
+        return column
 
 
 class VectorPOJoinBatch:
@@ -271,104 +327,105 @@ class VectorPOJoinBatch:
     # ------------------------------------------------------------------
     def probe_batch(
         self, probes: ArenaSlice, flags: Sequence[bool]
-    ) -> List[List[int]]:
-        """Per-probe match lists, interval bounds batched per predicate.
+    ) -> MatchBatch:
+        """Matches of a micro-batch, interval bounds batched per predicate.
 
         Probes are grouped by ``probe_is_left`` (each group shares one
         stored side and one operator direction) and each group's bounds
         are computed with a single ``np.searchsorted`` per predicate.
+        Row ``i`` of the result equals ``probe(probes[i], flags[i])``.
         """
-        results: List[List[int]] = [[] for __ in range(len(probes))]
-        left_idx = [j for j, f in enumerate(flags) if f]
-        right_idx = [j for j, f in enumerate(flags) if not f]
-        for indices, flag in ((left_idx, True), (right_idx, False)):
-            if not indices:
-                continue
+        groups = []
+        for flag in (True, False):
+            indices = [j for j, f in enumerate(flags) if bool(f) == flag]
             stored = self._stored(flag)
-            if stored.size == 0:
+            if not indices or stored.size == 0:
                 continue
-            self._probe_group(
-                probes.take(indices), flag, stored, results, indices
-            )
-        return results
+            if len(indices) == len(probes):
+                return self._probe_group(probes, flag, stored)
+            found = self._probe_group(probes.take(indices), flag, stored)
+            groups.append((indices, found))
+        return MatchBatch.scatter(probes.tid_values(), groups)
 
     def _probe_group(
-        self,
-        group: ArenaSlice,
-        flag: bool,
-        stored: _VectorSide,
-        results: List[List[int]],
-        indices: List[int],
-    ) -> None:
+        self, group: ArenaSlice, flag: bool, stored: _VectorSide
+    ) -> MatchBatch:
+        """Probe one role's tuples: positions in the first-field run are
+        collected per probe, tuple ids gathered once for the group."""
         preds = self.query.predicates
-        if len(preds) == 1:
-            pred = preds[0]
-            field = pred.probing_field(flag)
-            pvals = group.field_values(field)
-            bounds = batch_probe_intervals(pred, pvals, stored.values[0], flag)
-            tids0 = stored.tids[0]
-            for j, out_idx in enumerate(indices):
-                out: List[int] = []
-                for lo_a, hi_a in bounds:
-                    lo, hi = int(lo_a[j]), int(hi_a[j])
-                    if lo < hi:
-                        out.extend(tids0[lo:hi].tolist())
-                results[out_idx] = out
-            return
-
-        p1, p2 = preds[:2]
-        assert stored.permutation is not None
-        f1, f2 = p1.probing_field(flag), p2.probing_field(flag)
-        v1 = group.field_values(f1)
-        v2 = group.field_values(f2)
+        probe_tids = group.tid_values()
+        tids0 = stored.tids[0]
+        p1 = preds[0]
+        v1 = group.field_values(p1.probing_field(flag))
         b1 = batch_probe_intervals(p1, v1, stored.values[0], flag)
+        if len(preds) == 1:
+            return MatchBatch.interleave(
+                [MatchBatch.from_ranges(probe_tids, lo, hi, tids0) for lo, hi in b1]
+            )
+
+        p2 = preds[1]
+        assert stored.permutation is not None
+        v2 = group.field_values(p2.probing_field(flag))
         b2 = batch_probe_intervals(p2, v2, stored.values[1], flag)
         perm = stored.permutation
-        tids0 = stored.tids[0]
         if (
             self.covered_shortcut
             and len(preds) == 2
             and len(b1) == 1
             and len(b2) == 1
         ):
-            self._probe_group_covered(
-                b1[0], b2[0], stored, tids0, perm, results, indices
-            )
-            return
+            return self._probe_group_covered(probe_tids, b1[0], b2[0], stored)
+        first = [(lo.tolist(), hi.tolist()) for lo, hi in b1]
+        second = [(lo.tolist(), hi.tolist()) for lo, hi in b2]
         # One mask reused across the batch; only the scattered region is
         # reset between probes, so each probe costs O(|its intervals|).
         mask = np.zeros(stored.size, dtype=bool)
-        for j, out_idx in enumerate(indices):
+        found: List[np.ndarray] = []
+        counts: List[int] = []
+        for j in range(len(probe_tids)):
             touched: List[np.ndarray] = []
-            for lo_a, hi_a in b2:
-                lo, hi = int(lo_a[j]), int(hi_a[j])
+            for los, his in second:
+                lo, hi = los[j], his[j]
                 if lo < hi:
                     region = perm[lo:hi]
                     mask[region] = True
                     touched.append(region)
-            out: List[int] = []
-            for lo_a, hi_a in b1:
-                lo, hi = int(lo_a[j]), int(hi_a[j])
-                if lo < hi:
-                    hits = np.nonzero(mask[lo:hi])[0]
-                    if hits.size:
-                        out.extend(tids0[lo + hits].tolist())
-            for region in touched:
-                mask[region] = False
-            if len(preds) > 2:
-                out = self._apply_residuals(group[j], flag, stored, out)
-            results[out_idx] = out
+            count = 0
+            if touched:
+                for los, his in first:
+                    lo, hi = los[j], his[j]
+                    if lo < hi:
+                        hits = mask[lo:hi].nonzero()[0]
+                        if len(hits):
+                            hits += lo
+                            found.append(hits)
+                            count += len(hits)
+                for region in touched:
+                    mask[region] = False
+            counts.append(count)
+        if not found:
+            return MatchBatch.empty(probe_tids)
+        positions = np.concatenate(found)
+        matches = MatchBatch.from_counts(probe_tids, counts, tids0[positions])
+        for pred_idx in range(2, len(preds)):
+            pred = preds[pred_idx]
+            probe_values = np.repeat(
+                group.field_values(pred.probing_field(flag)), matches.counts
+            )
+            keep = _holds(
+                pred, probe_values, stored.column(pred_idx)[positions], flag
+            )
+            positions = positions[keep]
+            matches = matches.select(keep)
+        return matches
 
     def _probe_group_covered(
         self,
+        probe_tids: np.ndarray,
         b1: Tuple[np.ndarray, np.ndarray],
         b2: Tuple[np.ndarray, np.ndarray],
         stored: _VectorSide,
-        tids0: np.ndarray,
-        perm: np.ndarray,
-        results: List[List[int]],
-        indices: List[int],
-    ) -> None:
+    ) -> MatchBatch:
         """Two-predicate probe group with the covered-interval shortcut.
 
         A probe whose first-predicate interval is the whole run reads its
@@ -378,27 +435,40 @@ class VectorPOJoinBatch:
         Partially covered probes (the boundary-shard case) fall back to
         the permutation scatter, with the mask reset after each probe.
         """
-        lo1_a, hi1_a = b1
-        lo2_a, hi2_a = b2
-        tids1 = stored.tids[1]
+        lo1, hi1 = b1
+        lo2, hi2 = b2
         size = stored.size
-        mask: np.ndarray = None  # type: ignore[assignment]  # lazy
-        for j, out_idx in enumerate(indices):
-            lo1, hi1 = int(lo1_a[j]), int(hi1_a[j])
-            lo2, hi2 = int(lo2_a[j]), int(hi2_a[j])
-            if lo1 >= hi1 or lo2 >= hi2:
-                continue  # results[out_idx] stays []
-            if lo1 == 0 and hi1 == size:
-                results[out_idx] = tids1[lo2:hi2].tolist()
-                continue
-            if lo2 == 0 and hi2 == size:
-                results[out_idx] = tids0[lo1:hi1].tolist()
-                continue
-            if mask is None:
-                mask = np.zeros(size, dtype=bool)
-            region = perm[lo2:hi2]
-            mask[region] = True
-            hits = np.nonzero(mask[lo1:hi1])[0]
-            if hits.size:
-                results[out_idx] = tids0[lo1 + hits].tolist()
-            mask[region] = False
+        tids0 = stored.tids[0]
+        perm = stored.permutation
+        live = (lo1 < hi1) & (lo2 < hi2)
+        whole1 = live & (lo1 == 0) & (hi1 == size)
+        whole2 = live & ~whole1 & (lo2 == 0) & (hi2 == size)
+        # A probe outside a class gets the empty range [lo, lo) in it.
+        parts = [
+            MatchBatch.from_ranges(
+                probe_tids, lo2, np.where(whole1, hi2, lo2), stored.tids[1]
+            ),
+            MatchBatch.from_ranges(
+                probe_tids, lo1, np.where(whole2, hi1, lo1), tids0
+            ),
+        ]
+        partial = (live & ~whole1 & ~whole2).nonzero()[0].tolist()
+        if partial:
+            mask = np.zeros(size, dtype=bool)
+            found: List[np.ndarray] = []
+            counts = [0] * len(probe_tids)
+            for j in partial:
+                start = int(lo1[j])
+                region = perm[int(lo2[j]) : int(hi2[j])]
+                mask[region] = True
+                hits = mask[start : int(hi1[j])].nonzero()[0]
+                mask[region] = False
+                hits += start
+                found.append(hits)
+                counts[j] = len(hits)
+            parts.append(
+                MatchBatch.from_counts(
+                    probe_tids, counts, tids0[np.concatenate(found)]
+                )
+            )
+        return MatchBatch.interleave(parts)

@@ -26,6 +26,7 @@ import time
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .arena import ArenaSlice
+from .matches import MatchBatch, Pair
 from .merge import build_merge_batch_from_runs
 from .mutable import MutableComponent
 from .pojoin import POJoinBatch, POJoinList
@@ -34,8 +35,6 @@ from .tuples import StreamTuple
 from .window import MergePolicy, WindowKind, WindowSpec
 
 __all__ = ["SPOJoin", "JoinStats"]
-
-Pair = Tuple[int, int]
 
 
 class JoinStats:
@@ -236,32 +235,37 @@ class SPOJoin:
     # ------------------------------------------------------------------
     def process_many(
         self, tuples: Union[ArenaSlice, Sequence[StreamTuple]]
-    ) -> List[Pair]:
+    ) -> MatchBatch:
         """Run a micro-batch through Algorithm 1 in amortized passes.
 
         Produces exactly ``process(t)`` concatenated over ``tuples`` —
-        same pairs, same order, same stats and merge schedule — but pays
-        the immutable probe once per (sub-batch, PO-Join batch) and the
-        mutable probe once per (sub-batch, B+-tree).  Merges cannot
-        happen mid-batch, so the input is cut into sub-batches at the
-        positions where the merge clock fires; within a sub-batch the
-        immutable list is frozen and the mutable window only grows,
-        which the slot-bounded batched evaluation accounts for.
+        same pairs, same order, same stats and merge schedule — as one
+        :class:`~repro.core.matches.MatchBatch`: CSR arrays with one row
+        per input tuple that read as a lazy sequence of ``(probe_tid,
+        match_tid)`` pairs (``len`` is the match count; indexing,
+        slicing, iteration and ``==`` against a pair list work), so no
+        Python object is built per match.  The immutable probe is paid
+        once per (sub-batch, PO-Join batch) and the mutable probe once
+        per (sub-batch, B+-tree).  Merges cannot happen mid-batch, so
+        the input is cut into sub-batches at the positions where the
+        merge clock fires; within a sub-batch the immutable list is
+        frozen and the mutable window only grows, which the slot-bounded
+        batched evaluation accounts for.
 
         A plain tuple sequence is stamped into an :class:`ArenaSlice`
         once here; everything below consumes slices only.
         """
         if not isinstance(tuples, ArenaSlice):
             tuples = ArenaSlice.of(tuples)
-        pairs: List[Pair] = []
+        parts: List[MatchBatch] = []
         i, n = 0, len(tuples)
         while i < n:
             j, fired = self._scan_boundary(tuples, i)
-            self._process_subbatch(tuples[i:j], pairs)
+            parts.append(self._process_subbatch(tuples[i:j]))
             if fired:
                 self._merge_or_defer()
             i = j
-        return pairs
+        return MatchBatch.concat(parts)
 
     def _scan_boundary(
         self, tuples: ArenaSlice, start: int
@@ -290,40 +294,37 @@ class SPOJoin:
                 return k + 1, True
         return len(tuples), False
 
-    def _process_subbatch(self, sub: ArenaSlice, pairs: List[Pair]) -> None:
+    def _process_subbatch(self, sub: ArenaSlice) -> MatchBatch:
         if not self.is_two_stream:
             flags = [True] * len(sub)
         else:
             flags = sub.stream_flags(self.left_stream).tolist()
         hook = self.phase_hook
         t0 = time.perf_counter() if hook is not None else 0.0  # repro: allow-wallclock
-        mutable_rows = self._mutable_batch(sub, flags)
+        matches = self._mutable_batch(sub, flags)
         if hook is not None:
             # The batched mutable pass interleaves probe and insert;
             # report it under one combined category rather than a split
             # the code cannot honestly measure.
             hook("mutable_probe_insert", time.perf_counter() - t0)  # repro: allow-wallclock
+        stats = self.stats
+        mutable_matches = len(matches)
+        stats.mutable_matches += mutable_matches
         if not self.degraded:
             outcome = self.immutable.probe_all_batch(
                 sub, flags, self.num_threads
             )
             if hook is not None:
                 hook("immutable_probe", outcome.makespan)
-            immutable_rows: Sequence[List[int]] = outcome.per_probe
+            matches = MatchBatch.interleave([matches, *outcome.parts])
+            stats.immutable_matches += len(matches) - mutable_matches
         else:
-            self.stats.degraded_tuples += len(sub)
-            immutable_rows = [[] for __ in range(len(sub))]
-        for tid, mut, imm in zip(sub.tids_list(), mutable_rows, immutable_rows):
-            self.stats.mutable_matches += len(mut)
-            self.stats.immutable_matches += len(imm)
-            self.stats.tuples_processed += 1
-            self.stats.matches_emitted += len(mut) + len(imm)
-            pairs.extend((tid, m) for m in mut)
-            pairs.extend((tid, m) for m in imm)
+            stats.degraded_tuples += len(sub)
+        stats.tuples_processed += len(sub)
+        stats.matches_emitted += len(matches)
+        return matches
 
-    def _mutable_batch(
-        self, sub: ArenaSlice, flags: List[bool]
-    ) -> List[List[int]]:
+    def _mutable_batch(self, sub: ArenaSlice, flags: List[bool]) -> MatchBatch:
         """Probe + insert a merge-free sub-batch against the mutable tier.
 
         Bit evaluator: insert everything up front, then replay each
@@ -333,18 +334,19 @@ class SPOJoin:
         evaluator has no slot order, so it interleaves scalar steps.
         """
         if self.evaluator != "bit":
-            rows: List[List[int]] = []
+            rows: List[Sequence[int]] = []
             for t, flag in zip(sub, flags):
                 opposite = self._opposite_of(flag)
                 rows.append(opposite.evaluate(t, flag))
                 self._own_of(flag).insert(t)
-            return rows
+            return MatchBatch.from_rows(sub.tid_values(), rows)
         if not self.is_two_stream:
             window = self.mutable_left
             pre = len(window)
-            bounds = [pre + i for i in range(len(sub))]
             window.insert_many(sub)
-            return window.evaluate_batch(sub, flags, bounds)
+            return window.evaluate_batch(
+                sub, flags, range(pre, pre + len(sub))
+            )
         assert self.mutable_right is not None
         bounds: List[int] = []
         seen_left = seen_right = 0
@@ -360,21 +362,20 @@ class SPOJoin:
         right_idx = [i for i, f in enumerate(flags) if not f]
         self.mutable_left.insert_many(sub.take(left_idx))
         self.mutable_right.insert_many(sub.take(right_idx))
-        results: List[List[int]] = [[] for __ in range(len(sub))]
+        groups = []
         for window, flag_value, idx in (
             (self.mutable_right, True, left_idx),
             (self.mutable_left, False, right_idx),
         ):
             if not idx:
                 continue
-            rows = window.evaluate_batch(
+            found = window.evaluate_batch(
                 sub.take(idx),
                 [flag_value] * len(idx),
                 [bounds[i] for i in idx],
             )
-            for i, row in zip(idx, rows):
-                results[i] = row
-        return results
+            groups.append((idx, found))
+        return MatchBatch.scatter(sub.tid_values(), groups)
 
     def _opposite_of(self, probe_is_left: bool) -> MutableComponent:
         if not self.is_two_stream:

@@ -25,6 +25,7 @@ from typing import Dict, List, Sequence, Set
 from ..core.arena import ArenaSlice
 from ..core.bitset import BitSet
 from ..core.immutable import scalar_probe_batch
+from ..core.matches import MatchBatch
 from ..core.merge import MergeBatch, MergeSide
 from ..core.query import QuerySpec
 from ..core.tuples import StreamTuple
@@ -119,14 +120,16 @@ class CSSImmutableBatch:
 
     def probe_batch(
         self, probes: ArenaSlice, flags: Sequence[bool]
-    ) -> List[List[int]]:
-        """Per-probe match lists; the CSS baseline probes one at a time.
+    ) -> MatchBatch:
+        """Matches of a micro-batch; the CSS baseline probes one at a time.
 
         The block-hopping range search has no vectorized form — which is
         part of why the paper's PO-Join wins — so protocol conformance is
         the scalar loop.
         """
-        return scalar_probe_batch(self, probes, flags)
+        return MatchBatch.from_rows(
+            probes.tid_values(), scalar_probe_batch(self, probes, flags)
+        )
 
     def _probe_bit(
         self, probe: StreamTuple, probe_is_left: bool, stored: _CSSSide

@@ -815,7 +815,7 @@ class POJoinOperator(Operator):
         for tid, event_time, matches in zip(
             run.tids_list(),
             run.event_time_values().tolist(),
-            outcome.per_probe,
+            outcome.matches.rows(),
         ):
             ctx.record(
                 "immutable_result",

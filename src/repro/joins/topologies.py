@@ -386,23 +386,23 @@ class SPOJoinerOperator(Operator):
                 else:
                     ctx.observe_event("degrade_off", caught_up=pending)
         degraded = self.join.degraded
-        stamps: Iterable[Tuple[int, float]]
+        stamps: Iterable[Tuple[int, float, List[int]]]
         if isinstance(payload, TupleBatch):
             batch = payload.tuples
-            pairs = self.join.process_many(batch)
+            # The record boundary: the join's CSR result becomes
+            # per-tuple Python lists here, once per router batch.
             stamps = zip(
-                batch.tids_list(), batch.event_time_values().tolist()
+                batch.tids_list(),
+                batch.event_time_values().tolist(),
+                self.join.process_many(batch).rows(),
             )
         else:
-            pairs = self.join.process(payload)
-            stamps = [(payload.tid, payload.event_time)]
-        by_tid: Dict[int, List[int]] = {}
-        for tid, match in pairs:
-            by_tid.setdefault(tid, []).append(match)
-        for tid, event_time in stamps:
+            matches = [match for __, match in self.join.process(payload)]
+            stamps = [(payload.tid, payload.event_time, matches)]
+        for tid, event_time, matches in stamps:
             entry = {
                 "tid": tid,
-                "matches": sorted(by_tid.get(tid, ())),
+                "matches": sorted(matches),
                 "event_time": event_time,
             }
             if degraded:

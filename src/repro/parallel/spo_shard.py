@@ -46,6 +46,7 @@ import numpy as np
 from ..core.arena import ArenaSlice
 from ..core.checkpoint import batch_from_state, batch_state, component_tuples
 from ..core.immutable import get_backend
+from ..core.matches import MatchBatch
 from ..core.merge import MergeBatch, _side_from_runs, build_merge_batch_from_runs
 from ..core.mutable import MutableComponent
 from ..core.pojoin import POJoinList
@@ -226,14 +227,14 @@ class ShardSPOJoin:
             bounds = [pre + stores_before[i] for i in kept]
         if len(bounds):
             flags = [True] * len(bounds)
-            mutable_rows = self.mutable.evaluate_batch(group, flags, bounds)
-            outcome = self.immutable.probe_all_batch(group, flags)
-            for pos, mut, imm in zip(
-                positions, mutable_rows, outcome.per_probe
-            ):
-                self.stats.mutable_matches += len(mut)
-                self.stats.immutable_matches += len(imm)
-                matches[pos] = mut + imm
+            mutable = self.mutable.evaluate_batch(group, flags, bounds)
+            immutable = self.immutable.probe_all_batch(group, flags)
+            answers = MatchBatch.interleave([mutable, *immutable.parts])
+            self.stats.mutable_matches += len(mutable)
+            self.stats.immutable_matches += len(answers) - len(mutable)
+            # The record boundary: one list conversion per sub-batch.
+            for pos, row in zip(positions, answers.rows()):
+                matches[pos] = row
         results: List[Tuple[int, List[int], float]] = []
         for tid, event_time, found in zip(
             probes.tids_list(), probes.event_time_values().tolist(), matches

@@ -33,3 +33,15 @@ def plain_lists(record):
     # Plain python containers pass through untouched.
     values = [1.0, 2.0]
     return f"{values[0]}" + json.dumps({"v": values[1]})
+
+
+def emit_matches(ctx, found, tids):
+    # The CSR result plane converts once, at the record boundary.
+    for tid, row in zip(tids, found.rows()):
+        ctx.record("result", {"tid": tid, "matches": row})
+    ctx.record("summary", {"first": int(found.match_tids[0])})
+
+
+def fingerprint_rows(found):
+    counts = found.counts.tolist()
+    return f"{counts[0]}:{int(found.offsets[-1])}:{len(found)}"

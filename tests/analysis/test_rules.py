@@ -33,7 +33,7 @@ EXPECTED_MINIMUM = {
     "REPRO002": 14,
     "REPRO003": 6,
     "REPRO004": 3,
-    "REPRO005": 6,
+    "REPRO005": 9,
     "REPRO006": 4,
 }
 

@@ -21,6 +21,7 @@ from repro.core import (
     SPOJoin,
     WindowSpec,
     build_merge_batch,
+    make_tuple,
 )
 from repro.core.arena import ArenaSlice
 from repro.core.backend_sql import SQLImmutableBatch
@@ -128,11 +129,34 @@ class TestSQLBatch:
                 assert sql.probe(probe, True) == vec.probe(probe, True)
             probes = ArenaSlice.of(random_tuples(25, start_tid=2000, seed=53))
             flags = [True] * len(probes)
-            assert sql.probe_batch(probes, flags) == vec.probe_batch(
+            assert sql.probe_batch(probes, flags).rows() == vec.probe_batch(
                 probes, flags
-            )
+            ).rows()
         finally:
             sql.close()
+
+    @pytest.mark.parametrize("backend", ["memory", "po_scalar", "sql", "css"])
+    def test_probe_batch_returns_scalar_rows(self, q3_query, backend):
+        """Every ``ImmutableBatch`` answers a micro-batch with one
+        ``MatchBatch`` whose rows are its own scalar probes (small value
+        domain: most comparisons are ties)."""
+        from repro.core.immutable import scalar_probe_batch
+        from repro.core.matches import MatchBatch
+        from repro.joins import CSSImmutableBatch
+
+        merge = build_pair(q3_query, random_tuples(60, lo=0, hi=3, seed=54))
+        if backend == "css":
+            batch = CSSImmutableBatch(q3_query, merge)
+        else:
+            batch = get_backend(backend).batch_factory()(q3_query, merge)
+        probes = random_tuples(20, start_tid=3000, lo=0, hi=3, seed=55)
+        probes.append(make_tuple(3020, "T", -1, -1))  # below every stored x
+        flags = [True] * len(probes)
+        got = batch.probe_batch(ArenaSlice.of(probes), flags)
+        assert isinstance(got, MatchBatch)
+        assert got.probe_tids.tolist() == [t.tid for t in probes]
+        assert got.rows() == scalar_probe_batch(batch, probes, flags)
+        assert len(got) > 0 and got.rows()[-1] == []
 
     @pytest.mark.parametrize(
         "op1", ALL_OPS, ids=lambda op: f"op1={op.value}"

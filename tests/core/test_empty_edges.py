@@ -86,14 +86,14 @@ class TestBatchProbeIntervals:
 class TestVectorBatchEdges:
     def test_probe_batch_empty_probe_list(self):
         __, batch = self_join_batch(random_tuples(10, seed=20))
-        assert batch.probe_batch(ArenaSlice.of([]), []) == []
+        assert batch.probe_batch(ArenaSlice.of([]), []).rows() == []
 
     def test_probe_batch_empty_stored_side(self):
         __, batch = self_join_batch([])
         probes = random_tuples(5, seed=21)
-        assert batch.probe_batch(
-            ArenaSlice.of(probes), [True] * 5
-        ) == [[]] * 5
+        out = batch.probe_batch(ArenaSlice.of(probes), [True] * 5)
+        assert out.rows() == [[]] * 5
+        assert out.probe_tids.tolist() == [t.tid for t in probes]
 
     def test_scalar_probe_empty_stored_side(self):
         __, batch = self_join_batch([])
@@ -114,7 +114,7 @@ class TestVectorBatchEdges:
         assert len(batch.probe(r_probe, False)) == 6
         out = batch.probe_batch(
             ArenaSlice.of([l_probe, r_probe]), [True, False]
-        )
+        ).rows()
         assert out[0] == [] and len(out[1]) == 6
 
 
@@ -130,5 +130,34 @@ class TestJoinEdges:
         join = SPOJoin(q3_query, WindowSpec.count(50, 10))
         for t in random_tuples(30, seed=24):
             join.process(t)
-        window = join.mutable_left
-        assert window.evaluate_batch(ArenaSlice.of([]), []) == []
+        window = join.mutable_left  # drained by the merge at tuple 30
+        assert window.evaluate_batch(ArenaSlice.of([]), []).rows() == []
+        for t in random_tuples(5, start_tid=30, seed=24):
+            join.process(t)
+        assert len(window) == 5
+        assert window.evaluate_batch(ArenaSlice.of([]), []).rows() == []
+
+    @pytest.mark.parametrize("evaluator", ["bit", "hash"])
+    def test_one_sided_two_stream_subbatches(self, evaluator):
+        """A cross join fed runs of one stream only: every sub-batch has
+        an empty probe role, and until the other stream shows up an
+        empty opposite window and empty stored sides as well."""
+        query = QuerySpec.two_inequalities("Q1", JoinType.CROSS, Op.LT, Op.GT)
+        window = WindowSpec.count(40, 10)
+        tuples = (
+            random_tuples(25, stream="R", seed=25)
+            + random_tuples(25, stream="S", start_tid=25, seed=26)
+            + random_tuples(25, stream="R", start_tid=50, seed=27)
+        )
+        ref = SPOJoin(query, window, evaluator=evaluator)
+        expected = [p for t in tuples for p in ref.process(t)]
+        join = SPOJoin(query, window, evaluator=evaluator)
+        got = []
+        for i in range(0, len(tuples), 8):
+            result = join.process_many(tuples[i : i + 8])
+            assert result.probe_tids.tolist() == [
+                t.tid for t in tuples[i : i + 8]
+            ]
+            got.extend(result)
+        assert got == expected and expected
+        assert join.process_many(tuples[:3])[:0] == []
