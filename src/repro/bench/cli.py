@@ -127,60 +127,6 @@ def _equijoin(args) -> None:
     table.show()
 
 
-def _batching(args) -> None:
-    """Micro-batched vs tuple-at-a-time SPO-Join (batch-first core)."""
-    query = q3()
-    window = WindowSpec.count(1_000, 200)
-    tuples = as_stream_tuples(q3_stream(3_000, seed=6))
-    sizes = [1, 8, 64]
-    if args.batch_size and args.batch_size not in sizes:
-        sizes.append(args.batch_size)
-    table = ResultTable(
-        "Micro-batching, Q3 self join",
-        ["batch", "tuples/sec", "per-tuple (us)", "per-batch (us)", "speedup"],
-    )
-    rows = []
-    base = None
-    for bs in sorted(sizes):
-        stats = drive_local(
-            make_spo_join(query, window), tuples, batch_size=bs
-        )
-        if base is None:
-            base = stats.throughput
-        speedup = stats.throughput / base if base else 0.0
-        table.add_row(
-            bs,
-            stats.throughput,
-            stats.mean_latency * 1e6,
-            stats.mean_batch_cost * 1e6,
-            speedup,
-        )
-        rows.append(
-            {
-                "batch_size": bs,
-                "tuples": stats.tuples,
-                "matches": stats.matches,
-                "throughput_tps": stats.throughput,
-                "mean_per_tuple_cost_s": stats.mean_latency,
-                "mean_per_batch_cost_s": stats.mean_batch_cost,
-                "p95_per_tuple_cost_s": stats.latency_percentile(95),
-                "speedup_vs_scalar": speedup,
-            }
-        )
-    table.show()
-    _write_json(
-        args,
-        "batching",
-        {
-            "experiment": "batching",
-            "query": "q3_self_join",
-            "window": {"size": 1_000, "slide": 200, "kind": "count"},
-            "stream_tuples": len(tuples),
-            "results": rows,
-        },
-    )
-
-
 def _trace(args) -> None:
     """Tuple tracing: per-stage latency waterfall with reconciliation."""
     query = q3()
@@ -234,7 +180,7 @@ def _report(args) -> None:
     query = q3()
     window = WindowSpec.count(200, 40)
     raws = q3_stream(800, seed=9)
-    batch_size = args.batch_size or 8
+    batch_size = 8
     obs = Observer(ObsConfig(tick_interval=0.02))
     source = ((raw.event_time, raw) for raw in raws)
     result = run_topology(
@@ -527,664 +473,21 @@ def _overload(args) -> None:
     )
 
 
-def _scaleup(args) -> None:
-    """Multicore scale-up: range-sharded SPO on real worker processes.
-
-    Two phases.  *Parity*: at small scale, every measured configuration
-    (simulated sharded and process-backed at each worker count, batch
-    sizes 1/7/64) must reproduce the simulated single-process reference
-    fingerprint bit for bit — a mismatch aborts with a non-zero exit, so
-    the timing numbers below can never belong to a wrong answer.
-    *Timing*: the Fig. 16/17-shaped self-join workload (high-correlation
-    Q3, count window with three merge intervals) runs under the parallel
-    executor with ``num_shards = num_workers``; range sharding plus the
-    per-shard second-predicate prefilter shrinks each shard's probe work,
-    which is where the wall-clock scale-up comes from.
-    """
-    from ..joins import build_spo_sharded_topology
-    from ..parallel import ParallelExecutor, reduce_sharded_result
-    from ..workloads import self_stream, timed
-
-    query = q3()
-    workers = [int(w) for w in (args.workers or "1,2,4").split(",")]
-    if any(w < 1 for w in workers):
-        raise SystemExit("--workers entries must be >= 1")
-
-    # -- parity gate ---------------------------------------------------
-    parity_n = 3000
-    parity_window = WindowSpec.count(1000, 250)
-
-    def parity_source():
-        return timed(
-            self_stream(parity_n, correlation=0.5, seed=2), rate=1000.0
-        )
-
-    parity_rows = []
-    table = ResultTable(
-        "Scale-up parity (fingerprint vs simulated reference)",
-        ["batch", "mode", "identical"],
-    )
-    for batch_size in (1, 7, 64):
-        ref_fp = run_topology(
-            build_spo_local_topology(
-                parity_source(), query, parity_window, batch_size=batch_size
-            )
-        ).result_fingerprint()
-        modes = []
-        sharded = build_spo_sharded_topology(
-            parity_source(), query, parity_window, 3, batch_size=batch_size
-        )
-        sim = run_topology(sharded)
-        reduce_sharded_result(sim)
-        modes.append(("simulated-sharded", sim.result_fingerprint()))
-        for num_workers in workers:
-            topo = build_spo_sharded_topology(
-                parity_source(), query, parity_window, 3, batch_size=batch_size
-            )
-            res = ParallelExecutor(topo, num_workers=num_workers).run()
-            reduce_sharded_result(res)
-            modes.append((f"workers={num_workers}", res.result_fingerprint()))
-        for mode, fingerprint in modes:
-            identical = fingerprint == ref_fp
-            table.add_row(batch_size, mode, identical)
-            parity_rows.append(
-                {
-                    "batch_size": batch_size,
-                    "mode": mode,
-                    "identical": identical,
-                }
-            )
-            if not identical:
-                raise SystemExit(
-                    f"scaleup parity violated: {mode} at batch_size="
-                    f"{batch_size} diverged from the simulated reference"
-                )
-    table.show()
-
-    # -- timing --------------------------------------------------------
-    n = args.tuples or 100_000
-    window = WindowSpec.count(n, n // 3)
-    batch_size = 256
-    correlation = 0.998
-
-    def source():
-        return timed(
-            self_stream(n, correlation=correlation, seed=1), rate=1000.0
-        )
-
-    ref = run_topology(
-        build_spo_local_topology(source(), query, window, batch_size=batch_size)
-    )
-    ref_fp = ref.result_fingerprint()
-    ref_results = len(ref.records_named("result"))
-    table = ResultTable(
-        f"Scale-up, Q3 self join, {n} tuples (num_shards = num_workers)",
-        ["workers", "wall s", "speedup vs 1", "results", "identical"],
-    )
-    rows = []
-    walls = {}
-    for num_workers in workers:
-        topo = build_spo_sharded_topology(
-            source(), query, window, num_workers, batch_size=batch_size
-        )
-        res = ParallelExecutor(topo, num_workers=num_workers).run()
-        reduce_sharded_result(res)
-        fingerprint = res.result_fingerprint()
-        identical = fingerprint == ref_fp
-        walls[num_workers] = res.wall_seconds
-        speedup = walls[workers[0]] / res.wall_seconds
-        results = len(res.records_named("result"))
-        table.add_row(
-            num_workers,
-            round(res.wall_seconds, 3),
-            round(speedup, 2),
-            results,
-            identical,
-        )
-        rows.append(
-            {
-                "workers": num_workers,
-                "num_shards": num_workers,
-                "wall_seconds": res.wall_seconds,
-                "speedup_vs_1": speedup,
-                "results": results,
-                "identical_to_simulated": identical,
-            }
-        )
-        if not identical:
-            raise SystemExit(
-                f"scaleup timing run at workers={num_workers} diverged "
-                "from the simulated reference fingerprint"
-            )
-    table.show()
-    if 1 in walls and 4 in walls:
-        speedup4 = walls[1] / walls[4]
-        print(f"4-worker speedup vs 1 worker: {speedup4:.2f}x")
-        if speedup4 < 1.5:
-            print(
-                "WARNING: 4-worker speedup below the 1.5x acceptance bar "
-                "on this run"
-            )
-    _write_json(
-        args,
-        "scaleup",
-        {
-            "experiment": "scaleup",
-            "query": "q3_self_join",
-            "stream_tuples": n,
-            "correlation": correlation,
-            "window": {"size": n, "slide": n // 3, "kind": "count"},
-            "batch_size": batch_size,
-            "reference_results": ref_results,
-            "parity": parity_rows,
-            "results": rows,
-        },
-    )
-
-
-def _skew(args) -> None:
-    """Skew knee: adaptive vs static range cuts under a hot-band workload.
-
-    Two phases.  *Parity*: on a drifting hot-band stream, the adaptive
-    topology (live cut swaps plus state migration) must reproduce the
-    simulated single-process reference fingerprint bit for bit at batch
-    sizes 1/7/64 and under the parallel executor at each worker count —
-    and the runs must contain at least one repartition with both a split
-    and a merge, so the gate exercises migration, not just routing.
-    *Knee*: a stationary hot band misaligned with the static uniform
-    cuts concentrates store and match work in one shard; offered rate
-    sweeps upward (multiples of the static bottleneck's calibrated
-    service rate) under bounded queues with the block policy, and the
-    knee is the highest offered rate each configuration sustains.
-    Adaptive repartitioning splits the hot band across shards, so its
-    knee sits well above the static one.
-    """
-    from ..dspe import FlowConfig
-    from ..joins import build_spo_sharded_topology
-    from ..parallel import BalanceConfig, ParallelExecutor, reduce_sharded_result
-    from ..workloads import skewed_self_stream, timed
-
-    query = q3()
-    window = WindowSpec.count(400, 100)
-    num_shards = 4
-    workers = [int(w) for w in (args.workers or "1,2,4").split(",")]
-    if any(w < 1 for w in workers):
-        raise SystemExit("--workers entries must be >= 1")
-
-    def balance():
-        return BalanceConfig(
-            imbalance_factor=1.3, min_live_tuples=300, cooldown_boundaries=2
-        )
-
-    # -- parity gate ---------------------------------------------------
-    # The hot band drifts downward through the run, so the tracker must
-    # issue repartitions (splits and merges) to follow it; the sizes are
-    # fixed because the tracker thresholds are tuned to them.
-    parity_n = 3000
-    parity_raws = skewed_self_stream(
-        parity_n,
-        hot_fraction=0.75,
-        hot_center=0.85,
-        hot_width=0.06,
-        drift=-0.5,
-        correlation=0.3,
-        seed=13,
-    )
-
-    def parity_topology(batch_size):
-        return build_spo_sharded_topology(
-            timed(parity_raws, rate=5000.0),
-            query,
-            window,
-            num_shards,
-            batch_size=batch_size,
-            balance=balance(),
-        )
-
-    parity_rows = []
-    repartition_stats = {"repartitions": 0, "splits": 0, "merges": 0}
-    table = ResultTable(
-        "Skew parity (adaptive fingerprint vs simulated reference)",
-        ["batch", "mode", "repartitions", "identical"],
-    )
-    for batch_size in (1, 7, 64):
-        ref_fp = run_topology(
-            build_spo_local_topology(
-                timed(parity_raws, rate=5000.0),
-                query,
-                window,
-                batch_size=batch_size,
-            )
-        ).result_fingerprint()
-        modes = []
-        sim = run_topology(parity_topology(batch_size))
-        decisions = [
-            r.payload for r in sim.records if r.name == "repartition"
-        ]
-        reduce_sharded_result(sim)
-        modes.append(("simulated-adaptive", sim.result_fingerprint()))
-        if batch_size == 7:
-            repartition_stats = {
-                "repartitions": len(decisions),
-                "splits": sum(d["splits"] for d in decisions),
-                "merges": sum(d["merges"] for d in decisions),
-            }
-            for num_workers in workers:
-                res = ParallelExecutor(
-                    parity_topology(batch_size), num_workers=num_workers
-                ).run()
-                reduce_sharded_result(res)
-                modes.append(
-                    (f"workers={num_workers}", res.result_fingerprint())
-                )
-        for mode, fingerprint in modes:
-            identical = fingerprint == ref_fp
-            table.add_row(batch_size, mode, len(decisions), identical)
-            parity_rows.append(
-                {
-                    "batch_size": batch_size,
-                    "mode": mode,
-                    "repartitions": len(decisions),
-                    "identical": identical,
-                }
-            )
-            if not identical:
-                raise SystemExit(
-                    f"skew parity violated: {mode} at batch_size="
-                    f"{batch_size} diverged from the simulated reference"
-                )
-        if not decisions:
-            raise SystemExit(
-                f"skew parity run at batch_size={batch_size} issued no "
-                "repartitions — the gate did not exercise migration"
-            )
-    table.show()
-    if not (repartition_stats["splits"] and repartition_stats["merges"]):
-        raise SystemExit(
-            "skew parity runs never exercised both a split and a merge: "
-            f"{repartition_stats}"
-        )
-
-    # -- knee sweep ----------------------------------------------------
-    n = args.tuples or 3000
-    capacity = 64  # large enough that burstiness never masks the knee
-    batch_size = 7
-    sweep_raws = skewed_self_stream(
-        n,
-        hot_fraction=0.9,
-        hot_center=0.85,
-        hot_width=0.03,
-        drift=0.0,
-        correlation=0.3,
-        seed=13,
-    )
-
-    def build(rate, adaptive):
-        source = ((i / rate, raw) for i, raw in enumerate(sweep_raws))
-        return build_spo_sharded_topology(
-            source,
-            query,
-            window,
-            num_shards,
-            batch_size=batch_size,
-            balance=balance() if adaptive else None,
-        )
-
-    # Calibrate each configuration's bottleneck from an uncontended run:
-    # the sustainable rate is bounded by the busiest shard, and the
-    # offered-rate sweep is expressed as multiples of the *static*
-    # bottleneck so both configurations face identical absolute rates.
-    bottleneck = {}
-    busy_profiles = {}
-    base_fp = None
-    for label in ("static", "adaptive"):
-        calib = run_topology(build(1e9, adaptive=(label == "adaptive")))
-        reduce_sharded_result(calib)
-        if base_fp is None:
-            base_fp = calib.result_fingerprint()
-        elif calib.result_fingerprint() != base_fp:
-            raise SystemExit(
-                "skew calibration: adaptive diverged from static cuts"
-            )
-        busy = {pe.name: pe.busy_time for pe in calib.pes_of("joiner")}
-        busy_profiles[label] = busy
-        bottleneck[label] = n / max(busy.values())
-    mu = bottleneck["static"]
-
-    factors = [0.6, 0.9, 1.3, 1.8, 2.5]
-    if args.source_rate and args.source_rate not in factors:
-        factors.append(args.source_rate)
-    table = ResultTable(
-        f"Skew knee sweep, Q3 hot band (static bottleneck {mu:.0f} tps, "
-        f"capacity {capacity})",
-        [
-            "cuts",
-            "offered (x)",
-            "offered (tps)",
-            "achieved (tps)",
-            "sustained",
-            "p99 wait (ms)",
-            "blocked (s)",
-        ],
-    )
-    rows = []
-    knee = {}
-    for label in ("static", "adaptive"):
-        sustained_rates = []
-        for factor in sorted(factors):
-            rate = factor * mu
-            # Sustaining a rate is an existence claim, so each point is
-            # best-of-3: one transient host stall must not turn a
-            # sustainable rate into a false knee.
-            achieved = p99 = blocked = 0.0
-            sustained = False
-            for __ in range(3):
-                flow = FlowConfig(queue_capacity=capacity, policy="block")
-                res = run_topology(
-                    build(rate, adaptive=(label == "adaptive")), flow=flow
-                )
-                reduce_sharded_result(res)
-                if res.result_fingerprint() != base_fp:
-                    raise SystemExit(
-                        f"skew sweep parity violated: {label} at {factor}x "
-                        "diverged under flow control"
-                    )
-                results = len(res.records_named("result"))
-                attempt = results / res.sim_end if res.sim_end > 0 else 0.0
-                metrics = res.flow.metrics
-                if attempt >= achieved or not achieved:
-                    achieved = attempt
-                    p99 = max(
-                        metrics.wait_percentile(pe.name, 99)
-                        for pe in res.pes_of("joiner")
-                    )
-                    blocked = metrics.total_blocked_s()
-                if results == n and achieved >= 0.9 * rate:
-                    sustained = True
-                    break
-            if sustained:
-                sustained_rates.append(rate)
-            table.add_row(
-                label,
-                factor,
-                round(rate),
-                round(achieved),
-                sustained,
-                round(p99 * 1e3, 1),
-                round(blocked, 2),
-            )
-            rows.append(
-                {
-                    "cuts": label,
-                    "offered_factor": factor,
-                    "offered_rate_tps": rate,
-                    "achieved_tps": achieved,
-                    "sustained": sustained,
-                    "p99_joiner_wait_s": p99,
-                    "blocked_s": blocked,
-                }
-            )
-        knee[label] = max(sustained_rates) if sustained_rates else None
-    table.show()
-    gain = (
-        knee["adaptive"] / knee["static"]
-        if knee["static"] and knee["adaptive"]
-        else None
-    )
-    print(
-        f"knee: static {knee['static'] or 0:.0f} tps, "
-        f"adaptive {knee['adaptive'] or 0:.0f} tps"
-        + (f" ({gain:.2f}x)" if gain else "")
-    )
-    if not knee["adaptive"] or (
-        knee["static"] and knee["adaptive"] <= knee["static"]
-    ):
-        print(
-            "WARNING: adaptive knee does not exceed the static knee "
-            "on this run"
-        )
-    _write_json(
-        args,
-        "skew",
-        {
-            "experiment": "skew",
-            "query": "q3_self_join",
-            "window": {"size": 400, "slide": 100, "kind": "count"},
-            "num_shards": num_shards,
-            "batch_size": batch_size,
-            "parity": parity_rows,
-            "parity_repartitions": repartition_stats,
-            "sweep_tuples": n,
-            "queue_capacity": capacity,
-            "bottleneck_tps": bottleneck,
-            "busy_seconds": busy_profiles,
-            "knee_tps": knee,
-            "knee_gain": gain,
-            "results": rows,
-        },
-    )
-
-
-def _chaos(args) -> None:
-    """Process chaos: injected worker kills/stalls vs failure-free runs.
-
-    For each worker count the sharded SPO topology runs under the
-    parallel executor with a seeded real-process fault plan: 0, 1, and 3
-    SIGKILLs per run (round-robin across workers, injection points drawn
-    from the fault seed), plus one hung-worker stall that must trip the
-    liveness timeout.  Every run — faulted or not — must reproduce the
-    simulated single-process reference fingerprint bit for bit, every
-    faulted run must report at least one supervised restart, and no
-    child process may outlive its run; any violation aborts with a
-    non-zero exit.  ``--kill-rate`` adds a Poisson plan row
-    (:class:`~repro.dspe.faults.ProcessFaultConfig`) on top of the
-    deterministic sweep.  The recovery overhead column is each faulted
-    run's wall clock relative to the failure-free run at the same worker
-    count.
-    """
-    import multiprocessing
-
-    from ..dspe import (
-        ProcessFaultConfig,
-        WorkerFaultEvent,
-        WorkerFaultPlan,
-        build_process_fault_plan,
-    )
-    from ..joins import build_spo_sharded_topology
-    from ..parallel import (
-        ParallelExecutor,
-        SupervisorConfig,
-        reduce_sharded_result,
-        spawn_seed,
-    )
-    from ..workloads import self_stream, timed
-
-    query = q3()
-    n = args.tuples or 3000
-    window = WindowSpec.count(1000, 250)
-    batch_size = 7
-    num_shards = 3
-    horizon = 64
-    workers = [int(w) for w in (args.workers or "1,2,4").split(",")]
-    if any(w < 1 for w in workers):
-        raise SystemExit("--workers entries must be >= 1")
-
-    def source():
-        return timed(self_stream(n, correlation=0.5, seed=2), rate=1000.0)
-
-    ref_fp = run_topology(
-        build_spo_local_topology(source(), query, window, batch_size=batch_size)
-    ).result_fingerprint()
-
-    def kill_plan(num_workers: int, kills: int) -> WorkerFaultPlan:
-        import random
-
-        rng = random.Random(
-            spawn_seed(args.fault_seed, "chaos", num_workers * 100 + kills)
-        )
-        events = [
-            WorkerFaultEvent(
-                worker=i % num_workers,
-                incarnation=i // num_workers,
-                at_message=rng.randint(1, horizon),
-                kind="kill",
-            )
-            for i in range(kills)
-        ]
-        return WorkerFaultPlan(events, seed=args.fault_seed)
-
-    def stall_plan(num_workers: int) -> WorkerFaultPlan:
-        import random
-
-        rng = random.Random(spawn_seed(args.fault_seed, "chaos-stall", num_workers))
-        return WorkerFaultPlan(
-            [
-                WorkerFaultEvent(
-                    worker=0,
-                    incarnation=0,
-                    at_message=rng.randint(1, horizon),
-                    kind="stall",
-                    stall_seconds=60.0,
-                )
-            ],
-            seed=args.fault_seed,
-        )
-
-    def supervision() -> SupervisorConfig:
-        return SupervisorConfig(
-            heartbeat_interval=0.1, liveness_timeout=1.5, max_restarts=8
-        )
-
-    table = ResultTable(
-        f"Parallel chaos, Q3 self join, {n} tuples "
-        "(fingerprint vs simulated reference)",
-        [
-            "workers",
-            "plan",
-            "wall s",
-            "overhead",
-            "restarts",
-            "replayed",
-            "identical",
-        ],
-    )
-    rows = []
-    for num_workers in workers:
-        plans = [(f"kills={k}", kill_plan(num_workers, k)) for k in (0, 1, 3)]
-        plans.append(("stall=1", stall_plan(num_workers)))
-        if args.kill_rate is not None:
-            config = ProcessFaultConfig(
-                kill_rate=args.kill_rate, horizon_messages=horizon
-            )
-            plans.append(
-                (
-                    f"poisson={args.kill_rate:g}",
-                    build_process_fault_plan(
-                        config, num_workers, args.fault_seed
-                    ),
-                )
-            )
-        clean_wall = None
-        for label, plan in plans:
-            faults = plan.kill_count() + plan.stall_count()
-            topo = build_spo_sharded_topology(
-                source(), query, window, num_shards, batch_size=batch_size
-            )
-            res = ParallelExecutor(
-                topo,
-                num_workers=num_workers,
-                supervisor=supervision(),
-                process_faults=plan if faults else None,
-            ).run()
-            reduce_sharded_result(res)
-            identical = res.result_fingerprint() == ref_fp
-            report = res.supervisor
-            leaked = multiprocessing.active_children()
-            if clean_wall is None:
-                clean_wall = res.wall_seconds
-            overhead = res.wall_seconds / clean_wall if clean_wall else None
-            table.add_row(
-                num_workers,
-                label,
-                round(res.wall_seconds, 3),
-                f"{overhead:.2f}x" if overhead is not None else "-",
-                report.restarts,
-                report.replayed_items,
-                identical,
-            )
-            rows.append(
-                {
-                    "workers": num_workers,
-                    "plan": label,
-                    "injected_kills": plan.kill_count(),
-                    "injected_stalls": plan.stall_count(),
-                    "plan_fingerprint": plan.fingerprint(),
-                    "wall_seconds": res.wall_seconds,
-                    "overhead_vs_clean": overhead,
-                    "restarts": report.restarts,
-                    "crashes": report.crashes,
-                    "stalls": report.stalls,
-                    "replayed_items": report.replayed_items,
-                    "checkpoints": report.checkpoints,
-                    "duplicates_dropped": report.duplicates_dropped,
-                    "divergent_records": report.divergent_records,
-                    "identical": identical,
-                    "leaked_children": len(leaked),
-                }
-            )
-            if not identical:
-                raise SystemExit(
-                    f"chaos parity violated: workers={num_workers} "
-                    f"plan={label} diverged from the simulated reference"
-                )
-            if faults and report.restarts == 0:
-                raise SystemExit(
-                    f"chaos plan {label} at workers={num_workers} injected "
-                    f"{faults} fault(s) but the supervisor reported zero "
-                    "restarts"
-                )
-            if leaked:
-                raise SystemExit(
-                    f"chaos run workers={num_workers} plan={label} leaked "
-                    f"{len(leaked)} child process(es)"
-                )
-    table.show()
-    _write_json(
-        args,
-        "chaos",
-        {
-            "experiment": "chaos",
-            "query": "q3_self_join",
-            "stream_tuples": n,
-            "window": {"size": 1000, "slide": 250, "kind": "count"},
-            "batch_size": batch_size,
-            "num_shards": num_shards,
-            "fault_seed": args.fault_seed,
-            "results": rows,
-        },
-    )
-
-
 def _write_json(args, key: str, payload) -> None:
     """Merge one experiment's payload under ``key`` in ``--json-out``.
 
-    The file holds a mapping of experiment name to payload; a legacy
-    single-experiment (flat) file is folded into the mapping rather than
-    clobbered.
+    The file holds a mapping of experiment name to payload; a file that
+    is not a JSON object is overwritten.
     """
     if not args.json_out:
         return
-    data: Dict[str, object] = {}
     try:
         with open(args.json_out) as fh:
-            existing = json.load(fh)
+            data = json.load(fh)
     except (OSError, ValueError):
-        existing = None
-    if isinstance(existing, dict):
-        if "experiment" in existing and "results" in existing:
-            data[str(existing["experiment"])] = existing
-        else:
-            data = existing
+        data = None
+    if not isinstance(data, dict):
+        data = {}
     data[key] = payload
     with open(args.json_out, "w") as fh:
         json.dump(data, fh, indent=2)
@@ -1197,12 +500,8 @@ EXPERIMENTS: Dict[str, Callable[..., None]] = {
     "designs": _designs,
     "crossjoin": _crossjoin,
     "equijoin": _equijoin,
-    "batching": _batching,
     "recovery": _recovery,
     "overload": _overload,
-    "scaleup": _scaleup,
-    "skew": _skew,
-    "chaos": _chaos,
     "trace": _trace,
     "report": _report,
 }
@@ -1222,13 +521,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--list", action="store_true", help="list experiment groups and exit"
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="router/process_many micro-batch size (adds the value to the "
-        "batching sweep; other experiments ignore it)",
     )
     parser.add_argument(
         "--json-out",
@@ -1267,8 +559,8 @@ def main(argv=None) -> int:
         "--source-rate",
         type=float,
         default=None,
-        help="overload/skew experiments: add this offered-rate factor "
-        "(multiple of the calibrated bottleneck service rate) to the "
+        help="overload experiment: add this offered-rate factor "
+        "(multiple of the calibrated joiner service rate) to the "
         "default sweep",
     )
     parser.add_argument(
@@ -1285,29 +577,12 @@ def main(argv=None) -> int:
         "(default: all three)",
     )
     parser.add_argument(
-        "--workers",
-        default=None,
-        help="scaleup/skew/chaos experiments: comma-separated worker "
-        "counts (default 1,2,4); scaleup's num_shards tracks num_workers",
-    )
-    parser.add_argument(
-        "--kill-rate",
-        type=float,
-        default=None,
-        help="chaos experiment: add a Poisson fault-plan row with this "
-        "expected number of kills per worker (on top of the "
-        "deterministic 0/1/3-kill sweep)",
-    )
-    parser.add_argument(
         "--tuples",
         type=int,
         default=None,
-        help="overload/scaleup/skew experiments: stream length "
-        "(defaults 900 / 100000 / 3000)",
+        help="overload experiment: stream length (default 900)",
     )
     args = parser.parse_args(argv)
-    if args.batch_size is not None and args.batch_size < 1:
-        parser.error("--batch-size must be >= 1")
     if args.crash_rate < 0:
         parser.error("--crash-rate must be non-negative")
     if args.checkpoint_interval is not None and args.checkpoint_interval <= 0:
@@ -1318,8 +593,6 @@ def main(argv=None) -> int:
         parser.error("--queue-capacity must be >= 1")
     if args.tuples is not None and args.tuples < 1:
         parser.error("--tuples must be >= 1")
-    if args.kill_rate is not None and args.kill_rate < 0:
-        parser.error("--kill-rate must be non-negative")
 
     if args.list:
         for name, fn in sorted(EXPERIMENTS.items()):

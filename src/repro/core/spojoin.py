@@ -102,6 +102,11 @@ class SPOJoin:
         backend: Optional[str] = None,
         backend_options: Optional[dict] = None,
     ) -> None:
+        # Checked here, not only in POJoinList.probe_all*: by the time a
+        # batched probe reaches the list, the sub-batch is already in
+        # the mutable window.
+        if num_threads < 1:
+            raise ValueError("num_threads must be >= 1")
         self.query = query
         self.window = window
         self.policy = MergePolicy(window, sub_intervals)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import JoinType, Op, QuerySpec, SPOJoin, WindowSpec, make_tuple
+from repro.joins import SPOJoinerOperator, make_spo_join
 
 from ..conftest import random_tuples
 
@@ -45,6 +46,19 @@ class TestEdgeBehaviours:
         threaded = SPOJoin(q3_query, WindowSpec.count(60, 20), num_threads=8)
         for t in tuples:
             assert sorted(serial.process(t)) == sorted(threaded.process(t))
+
+    @pytest.mark.parametrize("num_threads", [0, -1])
+    def test_invalid_num_threads_rejected_at_construction(
+        self, q3_query, num_threads
+    ):
+        # The lazy check in POJoinList.probe_all_batch fires only after
+        # process_many has inserted the sub-batch into the mutable
+        # window, so a caught error used to leave a half-applied batch.
+        # Rejecting at construction means no join exists to be mutated.
+        window = WindowSpec.count(40, 10)
+        for build in (SPOJoin, make_spo_join, SPOJoinerOperator):
+            with pytest.raises(ValueError, match="num_threads"):
+                build(q3_query, window, num_threads=num_threads)
 
     def test_custom_stream_names(self, q1_query):
         join = SPOJoin(
