@@ -33,7 +33,6 @@ class ProcessingElement:
         "downtime",
         "checkpoints",
         "pending",
-        "capacity",
         "queue_peak",
     )
 
@@ -58,10 +57,8 @@ class ProcessingElement:
         #: Observability gauge: deliveries dispatched to this PE but not
         #: yet served (maintained only when the run has an observer).
         self.pending = 0
-        #: Flow control (repro.dspe.flow): queue bound when this PE's
-        #: queue is managed (None = unbounded), and the peak queue depth
-        #: observed over the run (the high watermark).
-        self.capacity = None
+        #: Peak depth of this PE's queue over the run (the high
+        #: watermark; see repro.dspe.flow).
         self.queue_peak = 0
 
     @property

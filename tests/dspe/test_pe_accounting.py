@@ -108,6 +108,34 @@ class TestCoreContention:
             Engine(burst_topology(1, lambda: FixedCost(0.01)), cores_per_node=0)
 
 
+class TestTimingValidation:
+    """Inputs that would make simulated time run backwards are refused."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"time_scale": -1.0},
+            {"net_delay_local": -1e-6},
+            {"net_delay_remote": -1e-6},
+            {"redelivery_timeout": 0.0},
+            {"redelivery_timeout": -0.01},
+        ],
+    )
+    def test_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            Engine(burst_topology(1, lambda: FixedCost(0.01)), **kwargs)
+
+    def test_zero_time_scale_accepted(self):
+        # Charged costs still apply; measured costs count for nothing.
+        result = Engine(
+            burst_topology(3, lambda: FixedCost(0.01)),
+            time_scale=0.0,
+            net_delay_local=0.0,
+            net_delay_remote=0.0,
+        ).run()
+        assert result.sim_end == pytest.approx(0.03)
+
+
 class TestChargeValidation:
     def test_negative_charge_rejected(self):
         class BadCharge(Operator):

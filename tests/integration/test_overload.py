@@ -2,8 +2,11 @@
 
 The flow layer's acceptance invariants:
 
+* the default engine (``flow=None``, unbounded queues) reproduces, record
+  for record, what it emitted when it still had an eager serve path of
+  its own (pinned digests);
 * a flow config whose capacity is never reached changes **nothing** —
-  result fingerprints are bit-identical to the unmanaged engine, for
+  result fingerprints are bit-identical to the default engine, for
   every policy, with and without an observer attached;
 * backpressure composes with the chaos/recovery subsystem (crashes under
   a bounded-queue run still recover to the failure-free results);
@@ -12,6 +15,7 @@ The flow layer's acceptance invariants:
   reaches the exported JSONL trace.
 """
 
+import hashlib
 import json
 import random
 
@@ -57,33 +61,70 @@ def source_of(raws):
 
 
 # A capacity far above any queue depth these runs produce: the flow
-# layer is active (managed queues, credits, pressure checks) but none of
+# layer is active (bounded queues, credits, pressure checks) but none of
 # its interventions ever fire.
 SLACK_FLOW = 10_000
 
 
-class TestFingerprintEquivalence:
-    """Unreached capacity == the legacy engine, bit for bit."""
+def builders(q3_query, q1_query):
+    """Chain, NLJ and SPO-local topologies over seeded streams 21/22/23."""
+    chain_raws = make_raws(300, ["NYC"], seed=21)
+    nlj_raws = make_raws(300, ["R", "S"], seed=22)
+    spo_raws = make_raws(300, ["NYC"], seed=23)
+    return [
+        lambda: build_chain_topology(
+            source_of(chain_raws), q3_query, WINDOW, joiner_pes=2
+        ),
+        lambda: build_nlj_topology(
+            source_of(nlj_raws), q1_query, WINDOW, joiner_pes=2
+        ),
+        lambda: build_spo_local_topology(
+            source_of(spo_raws), q3_query, WINDOW, batch_size=4
+        ),
+    ]
 
-    def _builders(self, q3_query, q1_query):
-        chain_raws = make_raws(300, ["NYC"], seed=21)
-        nlj_raws = make_raws(300, ["R", "S"], seed=22)
-        spo_raws = make_raws(300, ["NYC"], seed=23)
-        return [
-            lambda: build_chain_topology(
-                source_of(chain_raws), q3_query, WINDOW, joiner_pes=2
-            ),
-            lambda: build_nlj_topology(
-                source_of(nlj_raws), q1_query, WINDOW, joiner_pes=2
-            ),
-            lambda: build_spo_local_topology(
-                source_of(spo_raws), q3_query, WINDOW, batch_size=4
-            ),
-        ]
+
+def records_digest(result):
+    """SHA-256 of the ordered records, timestamps and marks included."""
+    rows = [
+        (
+            r.name,
+            repr(r.payload),
+            r.completion_time,
+            r.origin_time,
+            sorted(r.marks.items()),
+        )
+        for r in result.records
+    ]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+# Digests of the default engine (``flow=None``) at ``time_scale=0.0``,
+# computed at commit ``ddb383f``, where ``flow=None`` still had its own
+# eager serve path: every delivery was served the moment it was popped,
+# bypassing the PE queue.  The single queued serve path must reproduce
+# those records exactly — same order, same completion times, same marks.
+GOLDEN_RECORDS = [
+    "bfafb0d98b1f9585412d15bf1956ceaed3b1c1fbfa8f1b34978770a41dba060e",
+    "ba3050881810932b59127fc36fa99c94b8d67bf05b270e208c9e55d606bdc973",
+    "dba0fda70f898096d41eccae0e51f6ce5a1bc2a87948ecc4b3a90e594e519c6c",
+]
+
+
+class TestGoldenRecords:
+    @pytest.mark.parametrize("index", range(3), ids=["chain", "nlj", "spo_local"])
+    def test_default_engine_records_are_pinned(self, q3_query, q1_query, index):
+        build = builders(q3_query, q1_query)[index]
+        result = run_topology(build(), time_scale=0.0)
+        assert records_digest(result) == GOLDEN_RECORDS[index]
+
+
+class TestFingerprintEquivalence:
+    """Unreached capacity == the default engine, bit for bit."""
 
     @pytest.mark.parametrize("policy", ["block", "shed", "degrade"])
     def test_all_topologies_all_policies(self, q3_query, q1_query, policy):
-        for build in self._builders(q3_query, q1_query):
+        for build in builders(q3_query, q1_query):
             baseline = run_topology(build())
             flow = FlowConfig(queue_capacity=SLACK_FLOW, policy=policy)
             managed = run_topology(build(), flow=flow)
