@@ -178,9 +178,16 @@ class TestCorrectnessExperiment:
         raws = make_raws(800, ["R", "S"], seed=39)
         for raw in raws:
             raw.event_time = 0.0  # burst: everything arrives at once
+        # The logical PE keeps KEEP_EPOCHS merge intervals of broadcast
+        # arrivals.  With WINDOW's 20-tuple slide the broadcast outruns
+        # the backlogged partials by more than that, and partials whose
+        # epoch is gone wait forever — a host pause early in the run then
+        # leaves nothing emitted at all.  KEEP_EPOCHS 400-tuple slides
+        # cover the whole burst, so every epoch a partial names is kept.
+        window = WindowSpec.count(800, 400)
         res = run_spo(
             source_of(raws),
-            SPOConfig(q1_query, WINDOW, num_pojoin_pes=1, use_provenance=False),
+            SPOConfig(q1_query, window, num_pojoin_pes=1, use_provenance=False),
             logical_pes=1,
         )
         records = res.records_named("mutable_result")

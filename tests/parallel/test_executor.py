@@ -114,6 +114,17 @@ def test_records_are_canonically_ordered():
     assert len(tids) == N
 
 
+def test_dead_letters_empty_without_flow_controller():
+    # The process substrate has no FlowController; RunResult still reads
+    # like a simulated run's.
+    result = ParallelExecutor(
+        build_spo_local_topology(_source(), q3(), WINDOW, batch_size=7),
+        num_workers=1,
+    ).run()
+    assert result.flow is None
+    assert result.dead_letters == []
+
+
 class _CrashingOperator(Operator):
     """Raises on the Nth delivery inside the worker."""
 
