@@ -29,11 +29,48 @@ from .predicates import Predicate
 from .query import QuerySpec
 from .tuples import StreamTuple
 
-__all__ = ["MutableComponent", "PartialResult"]
+__all__ = ["MutableComponent", "PartialResult", "extend_sorted_run"]
 
 #: A per-predicate partial result: the paper's bit array, or the naive
 #: baseline's hash table of matched tuples (id -> matched field value).
 PartialResult = Union[BitSet, Dict[int, float]]
+
+
+def extend_sorted_run(run: Optional[tuple], col: np.ndarray) -> tuple:
+    """Bring an incremental sorted run up to date with ``col``.
+
+    ``run`` is ``(values, slots, m)`` — the first ``m`` entries of an
+    append-only column in (value, slot) order, i.e.
+    ``np.argsort(col[:m], kind="stable")`` and the values it gathers —
+    or ``None``.  Returns the same triple for all of ``col``.  New slots
+    always sort after equal old values (their slots are larger), so the
+    suffix appended since ``m`` is sorted on its own and merged in with
+    one ``searchsorted`` and two scatters instead of a full argsort.
+    NaNs sort last, in slot order, exactly where a stable argsort puts
+    them.
+    """
+    n = len(col)
+    if run is not None and run[2] == n:
+        return run
+    if run is None or run[2] == 0:
+        slots = np.argsort(col, kind="stable")
+        return col[slots], slots, n
+    old_values, old_slots, m = run
+    order = np.argsort(col[m:], kind="stable")
+    new_values = col[m:][order]
+    new_slots = order + m
+    idx_new = np.searchsorted(old_values, new_values, side="right") + np.arange(
+        n - m
+    )
+    values = np.empty(n, dtype=col.dtype)
+    slots = np.empty(n, dtype=old_slots.dtype)
+    old_mask = np.ones(n, dtype=bool)
+    old_mask[idx_new] = False
+    values[idx_new] = new_values
+    slots[idx_new] = new_slots
+    values[old_mask] = old_values
+    slots[old_mask] = old_slots
+    return values, slots, n
 
 
 class MutableComponent:
@@ -160,40 +197,18 @@ class MutableComponent:
         """``(values, slots)`` of the window in (value, slot) order.
 
         Equals ``np.argsort(column, kind="stable")`` — the B+-tree leaf
-        order, duplicates tie-broken by slot — but maintained
-        incrementally: new slots always sort after equal old values
-        (their slots are larger), so the suffix inserted since the last
-        call merges into the cached run with one ``searchsorted`` and
-        two scatters.
+        order, duplicates tie-broken by slot — maintained incrementally
+        by :func:`extend_sorted_run`.
         """
         n = len(self._arrival)
-        col = self.arena.field(self._own_field(self.query.predicates[pred_pos]))
         cached = self._sorted_cache[pred_pos]
-        if cached is not None and cached[2] == n:
-            return cached[0], cached[1]
-        if cached is None or cached[2] == 0:
-            slots = np.argsort(col, kind="stable")
-            values = col[slots]
-        else:
-            old_values, old_slots, m = cached
-            order = np.argsort(col[m:], kind="stable")
-            new_values = col[m:][order]
-            new_slots = order + m
-            k = n - m
-            idx_new = (
-                np.searchsorted(old_values, new_values, side="right")
-                + np.arange(k)
+        if cached is None or cached[2] != n:
+            col = self.arena.field(
+                self._own_field(self.query.predicates[pred_pos])
             )
-            values = np.empty(n, dtype=col.dtype)
-            slots = np.empty(n, dtype=old_slots.dtype)
-            old_mask = np.ones(n, dtype=bool)
-            old_mask[idx_new] = False
-            values[idx_new] = new_values
-            slots[idx_new] = new_slots
-            values[old_mask] = old_values
-            slots[old_mask] = old_slots
-        self._sorted_cache[pred_pos] = (values, slots, n)
-        return values, slots
+            cached = extend_sorted_run(cached, col)
+            self._sorted_cache[pred_pos] = cached
+        return cached[0], cached[1]
 
     # ------------------------------------------------------------------
     # Per-predicate probing (what one predicate PE computes)

@@ -6,18 +6,21 @@ The pipeline decomposes Algorithm 1 across the simulated engine:
   stamps monotone tuple ids and broadcasts each tuple to the predicate PEs
   of the mutable component and to every PO-Join PE of the immutable one;
 * **predicate PEs** (:class:`PredicateOperator`, one bolt per predicate) —
-  each holds the B+-tree indexes ``I_r`` / ``I_s`` for *its* field, probes
-  the opposite stream's tree into a bit array (or hash set), inserts the
-  tuple, and hash-partitions the partial result by probe id to the logical
-  operator; at the merging threshold it drains its trees, computes the
-  offset arrays (Algorithm 3) for its predicate, ships them to the owning
-  PO-Join PE, and ships the sorted runs to the dedicated permutation PE;
+  each keeps *its* field per stream as a column in slot order, probes a
+  router batch against the opposite stream's column into a slot-keyed
+  bit partial (or hash tables), inserts the batch, and hash-partitions
+  one partial message per run by its first probe id to the logical
+  operator; at the merging threshold it drains its columns into sorted
+  runs, computes the offset arrays (Algorithm 3) for its predicate, ships
+  them to the owning PO-Join PE, and ships the runs to the dedicated
+  permutation PE;
 * **permutation PE** (:class:`PermutationOperator`) — pairs the two
   fields' runs per stream and merge interval, computes the permutation
   array (Algorithm 2), and forwards runs + permutation to the owning
   PO-Join PE;
 * **logical PEs** (:class:`LogicalOperator`) — AND the per-predicate
-  partials behind the Section 4.3 provenance hash table and emit the
+  partials behind the Section 4.3 provenance hash table and map slots to
+  tuple ids through the slot map each partial carries, emitting the
   mutable component's join results;
 * **PO-Join PEs** (:class:`POJoinOperator`) — assemble merge parts into
   immutable batches through the Section 4.3 (immutable) hash table,
@@ -36,19 +39,22 @@ import time
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..core.arena import ArenaSlice
-from ..core.bitset import BitSet
 from ..core.iejoin import compute_offset_array, compute_permutation
 from ..core.immutable import get_backend
 from ..core.merge import MergeBatch, MergeSide
+from ..core.mutable import extend_sorted_run
 from ..core.pojoin import POJoinList
+from ..core.pojoin_numpy import batch_probe_intervals
+from ..core.predicates import BandPredicate, Op
 from ..core.query import QuerySpec
 from ..core.tuples import StreamTuple
 from ..core.window import MergePolicy, WindowKind, WindowSpec
 from ..dspe.cache import CacheClient, DistributedCache
 from ..dspe.engine import TupleBatch
 from ..dspe.topology import Operator
-from ..indexes.bptree import BPlusTree
 from ..indexes.sorted_run import SortedRun
 
 __all__ = [
@@ -57,7 +63,6 @@ __all__ = [
     "PermutationOperator",
     "LogicalOperator",
     "POJoinOperator",
-    "PartialMsg",
     "PartialBatchMsg",
     "OffsetMsg",
     "RunsMsg",
@@ -86,7 +91,6 @@ class SPOConfig:
         left_stream: str = "R",
         num_threads: int = 1,
         use_provenance: bool = True,
-        bptree_order: int = 64,
         batch_size: int = 1,
         flush_timeout: Optional[float] = None,
         faults=None,
@@ -129,7 +133,6 @@ class SPOConfig:
         self.left_stream = left_stream
         self.num_threads = num_threads
         self.use_provenance = use_provenance
-        self.bptree_order = bptree_order
         # Micro-batching: the router accumulates this many tuples per
         # TupleBatch (cut early at merge boundaries); 1 = tuple-at-a-time.
         self.batch_size = batch_size
@@ -205,54 +208,50 @@ class _MergeClock:
             return True
         return False
 
-    def copy(self) -> "_MergeClock":
-        """An independent clock with identical state (for lookahead)."""
-        clone = _MergeClock(self.policy)
-        clone._count = self._count
-        clone._next_time = self._next_time
-        clone.epoch = self.epoch
-        return clone
-
 
 # ----------------------------------------------------------------------
 # Message payloads between operators
 # ----------------------------------------------------------------------
-class PartialMsg:
-    """Per-predicate partial result shipped to the logical operator."""
-
-    __slots__ = ("probe_tid", "pred_idx", "epoch", "side", "partial", "event_time")
-
-    def __init__(
-        self, probe_tid, pred_idx, epoch, side, partial, event_time=0.0
-    ) -> None:
-        self.probe_tid = probe_tid
-        self.pred_idx = pred_idx
-        self.epoch = epoch
-        #: Which stream's window the partial refers to ("left"/"right").
-        self.side = side
-        self.partial = partial
-        self.event_time = event_time
-
-
 class PartialBatchMsg:
-    """One predicate PE's partials for a whole router batch.
+    """One predicate PE's partials for one router run (row ``i`` is probe
+    ``probes[i]``), carrying their own slot map.
 
-    Both predicate PEs receive identical router-cut batches, so their
-    batch messages carry the same probe tids in the same order;
-    ``probe_tid`` (the first entry's) therefore hash-routes the two
-    messages of one batch to the same logical PE, exactly as the scalar
-    per-tuple partials would.
+    Bit evaluator: ``partial`` holds one ``row << 32 | slot`` key per set
+    bit; ``windows`` are views of the PE's tid columns (left, right) as
+    of this run, and ``on_left[i]`` says whether row ``i``'s slots index
+    the left one (``None``: a self join's single window).  Hash baseline:
+    one ``{tid: value}`` dict per row.  Both predicate PEs cut identical
+    runs, so ``probe_tid`` routes their messages to one logical PE.
     """
 
-    __slots__ = ("pred_idx", "entries")
+    __slots__ = ("pred_idx", "probes", "event_times", "partial", "windows", "on_left")
 
-    def __init__(self, pred_idx: int, entries: List[PartialMsg]) -> None:
+    def __init__(
+        self, pred_idx, probes, event_times, partial, windows=(), on_left=None
+    ) -> None:
         self.pred_idx = pred_idx
-        self.entries = entries
+        self.probes: List[int] = probes
+        self.event_times: List[float] = event_times
+        self.partial = partial
+        self.windows = windows
+        self.on_left: Optional[np.ndarray] = on_left
 
     @property
     def probe_tid(self) -> int:
-        return self.entries[0].probe_tid
+        return self.probes[0]
+
+
+def _gather(columns, on_left, rows, slots) -> np.ndarray:
+    """``columns[window][slot]`` per entry, from the window its row probed
+    (``on_left[row]``; ``None``: the single window of a self join)."""
+    if on_left is None:
+        return columns[0][slots]
+    left, right = columns
+    side = on_left[rows]
+    out = np.empty(len(slots), dtype=left.dtype)
+    out[side] = left[slots[side]]
+    out[~side] = right[slots[~side]]
+    return out
 
 
 class OffsetMsg:
@@ -294,54 +293,68 @@ class PermMsg:
 # ----------------------------------------------------------------------
 # Predicate operator (mutable component, Figure 4)
 # ----------------------------------------------------------------------
-class _FieldWindow:
-    """One stream's B+-tree for one field, with slot bookkeeping.
+#: Unsorted-tail length at which a window folds into its sorted run;
+#: below it, new tuples are probed by one vectorised comparison instead
+#: of being re-sorted every batch.
+_FOLD_AT = 256
 
-    Under the bit evaluator the tree payload is the tuple's *slot* so
-    probes flip bit positions directly; under the hash baseline it is the
-    tuple id the result hash table is keyed by.
+_SLOT_MASK = (1 << 32) - 1
+
+#: ``probe op stored`` for each operator, applied to the unsorted tail.
+_UFUNCS = {
+    Op.LT: np.less,
+    Op.LE: np.less_equal,
+    Op.GT: np.greater,
+    Op.GE: np.greater_equal,
+    Op.EQ: np.equal,
+    Op.NE: np.not_equal,
+}
+
+_EMPTY = np.zeros(0, dtype=np.int64)
+
+
+class _Window:
+    """One stream's predicate field and tids in arrival (slot) order.
+
+    The column buffers are written only past ``size`` and grow by copy,
+    so a view shipped downstream stays valid as that run's slot map.
+    ``run`` is the incremental sorted run ``(values, slots, m)`` over the
+    first ``m`` slots (:func:`extend_sorted_run`); the slots after it are
+    the unsorted tail.
     """
 
-    __slots__ = ("tree", "arrival", "order", "use_slots", "_nan_slots")
+    __slots__ = ("_values", "_tids", "size", "run")
 
-    def __init__(self, order: int, use_slots: bool) -> None:
-        self.order = order
-        self.use_slots = use_slots
-        self.tree = BPlusTree(order)
-        self.arrival: List[int] = []
-        self._nan_slots: List[int] = []
+    def __init__(self) -> None:
+        self._values = np.empty(_FOLD_AT, dtype=np.float64)
+        self._tids = np.empty(_FOLD_AT, dtype=np.int64)
+        self.size = 0
+        self.run: tuple = (self._values[:0], _EMPTY, 0)
 
-    def insert(self, value: float, tid: int) -> None:
-        slot = len(self.arrival)
-        payload = slot if self.use_slots else tid
-        self.arrival.append(tid)
-        # A NaN key can never satisfy a comparison, but inserting it
-        # would corrupt the tree's ordering invariant (every descent
-        # comparison against it is false), misplacing later real keys.
-        # The slot still counts — bit positions must track arrival order
-        # — so the key is parked and re-attached at drain time.
-        if value == value:
-            self.tree.insert(value, payload)
-        else:
-            self._nan_slots.append(slot)
+    @property
+    def values(self) -> np.ndarray:
+        return self._values[: self.size]
+
+    @property
+    def tids(self) -> np.ndarray:
+        return self._tids[: self.size]
+
+    def append(self, values: np.ndarray, tids: np.ndarray) -> None:
+        n = self.size
+        self.size = end = n + len(values)
+        if end > len(self._tids):
+            self._values = np.resize(self._values, 2 * end)
+            self._tids = np.resize(self._tids, 2 * end)
+        self._values[n:end] = values
+        self._tids[n:end] = tids
 
     def drain_run(self) -> SortedRun:
-        """Extract the sorted run (slot payloads mapped back to ids)."""
-        arrival = self.arrival
-        if self.use_slots:
-            entries = ((value, arrival[slot]) for value, slot in self.tree.items())
-        else:
-            entries = self.tree.items()
-        run = SortedRun.from_sorted_entries(entries)
-        # NaN keys ride at the tail in arrival order — exactly where a
-        # stable sort places them — so the two predicates' runs of one
-        # merge stay the same length and permutation/offset arrays align.
-        for slot in self._nan_slots:
-            run.values.append(float("nan"))
-            run.tids.append(arrival[slot])
-        self.tree = BPlusTree(self.order)
-        self.arrival = []
-        self._nan_slots = []
+        """The window as a sorted run: ``(value, tid)`` order, ties by
+        slot, NaN keys last in arrival order."""
+        values, slots, __ = extend_sorted_run(self.run, self.values)
+        tids = self.tids[slots]
+        run = SortedRun(values.tolist(), tids.tolist())
+        run.cache_arrays(values, tids)
         return run
 
 
@@ -353,155 +366,196 @@ class PredicateOperator(Operator):
         self.pred_idx = pred_idx
         self.pred = config.query.predicates[pred_idx]
         self.clock = _MergeClock(config.policy)
-        use_slots = config.evaluator == "bit"
-        self.windows: Dict[str, _FieldWindow] = {
-            "left": _FieldWindow(config.bptree_order, use_slots)
-        }
-        if config.two_stream:
-            self.windows["right"] = _FieldWindow(config.bptree_order, use_slots)
+        self.windows = self._fresh_windows()
         self._merge_id = 0
+        op = self.pred.op
+        self._tail_ops = {True: _UFUNCS[op], False: _UFUNCS[op.flipped]}
 
-    # -- helpers --------------------------------------------------------
-    def _own_side(self, t: StreamTuple) -> str:
-        if not self.config.two_stream:
-            return "left"
-        return "left" if t.stream == self.config.left_stream else "right"
+    def _fresh_windows(self) -> List[_Window]:
+        return [_Window() for __ in range(2 if self.config.two_stream else 1)]
 
-    def _opposite_side(self, t: StreamTuple) -> str:
-        if not self.config.two_stream:
-            return "left"
-        return "right" if t.stream == self.config.left_stream else "left"
-
-    def _own_field(self, side: str) -> int:
-        # Stored tuples of a self join play the predicate's right role.
-        if self.config.query.is_self_join:
-            return self.pred.right_field
+    def _columns(self, payload):
+        """``(tids, event times, left-field, right-field, is_left)`` of a
+        router batch; a lone tuple is a one-row batch."""
+        pred, left = self.pred, self.config.left_stream
+        cross = len(self.windows) == 2
+        if isinstance(payload, TupleBatch):
+            rows = payload.tuples
+            return (
+                rows.tid_values(),
+                rows.event_time_values().tolist(),
+                rows.field_values(pred.left_field),
+                rows.field_values(pred.right_field),
+                rows.stream_flags(left) if cross else None,
+            )
+        t: StreamTuple = payload
+        values = np.array(
+            (t.values[pred.left_field], t.values[pred.right_field]),
+            dtype=np.float64,
+        )
         return (
-            self.pred.left_field if side == "left" else self.pred.right_field
+            np.array((t.tid,), dtype=np.int64),
+            [t.event_time],
+            values[:1],
+            values[1:],
+            np.array((t.stream == left,)) if cross else None,
         )
 
     # -- processing -----------------------------------------------------
     def process(self, payload, ctx) -> None:
-        if isinstance(payload, TupleBatch):
-            self.process_batch(payload, ctx)
-            return
-        self._process_one(payload, ctx)
+        """Probe + insert a batch; one :class:`PartialBatchMsg` per run.
 
-    def _process_one(self, t: StreamTuple, ctx) -> None:
-        ctx.mark("joiner")
-        if ctx.observing:
-            # Operator-cost split (probe vs. insert): timestamps bracket
-            # the real work; the observe calls themselves are excluded
-            # from the charged service by the engine's overhead ledger.
-            t0 = time.perf_counter()  # repro: allow-wallclock
-            partial = self._partial_for(t)
-            t1 = time.perf_counter()  # repro: allow-wallclock
-            self._insert(t)
-            t2 = time.perf_counter()  # repro: allow-wallclock
-            ctx.emit(partial, stream="partial")
-            ctx.observe_cost("mutable_probe", t1 - t0)
-            ctx.observe_cost("mutable_insert", t2 - t1)
-        else:
-            ctx.emit(self._partial_for(t), stream="partial")
-            self._insert(t)
-        if self.clock.advance(t):
-            self._merge(ctx)
-
-    def process_batch(self, batch: TupleBatch, ctx) -> None:
-        """Probe + insert a router batch; one PartialBatchMsg downstream.
-
-        The router cuts batches at merge boundaries, so the fast path
-        assumes at most the *last* tuple closes a merge interval — every
-        entry then shares one epoch and one partial-batch message.  A
-        batch that straddles a boundary anyway (a router without the cut
-        hook) falls back to the scalar loop, which remains correct.
+        Runs end at merge boundaries.  The router cuts batches there, so
+        a batch is one run; one that straddles a boundary anyway is split.
         """
-        lookahead = self.clock.copy()
-        fired = [lookahead.advance(t) for t in batch.tuples]
-        if any(fired[:-1]):
-            for t in batch.tuples:
-                self._process_one(t, ctx)
-            return
         ctx.mark("joiner")
-        entries = []
-        if ctx.observing:
-            probe_s = insert_s = 0.0
-            for t in batch.tuples:
-                t0 = time.perf_counter()  # repro: allow-wallclock
-                entries.append(self._partial_for(t))
-                t1 = time.perf_counter()  # repro: allow-wallclock
-                self._insert(t)
-                probe_s += t1 - t0
-                insert_s += time.perf_counter() - t1  # repro: allow-wallclock
-            ctx.observe_cost("mutable_probe", probe_s)
-            ctx.observe_cost("mutable_insert", insert_s)
-        else:
-            for t in batch.tuples:
-                entries.append(self._partial_for(t))
-                self._insert(t)
-        self.clock = lookahead
-        ctx.emit(PartialBatchMsg(self.pred_idx, entries), stream="partial")
-        if fired and fired[-1]:
-            self._merge(ctx)
+        columns = self._columns(payload)
+        times = columns[1]
+        start = 0
+        for k, event_time in enumerate(times):
+            if self.clock.tick(event_time):
+                self._run(ctx, [c if c is None else c[start : k + 1] for c in columns])
+                self._merge(ctx)
+                start = k + 1
+        if start:
+            columns = [c if c is None else c[start:] for c in columns]
+        if start < len(times):
+            self._run(ctx, columns)
 
-    def _partial_for(self, t: StreamTuple) -> PartialMsg:
-        probe_is_left = self.config.probe_is_left(t)
-        opposite = self.windows[self._opposite_side(t)]
-        value = t.values[self.pred.probing_field(probe_is_left)]
-        # A NaN probe satisfies no comparison; skipping the tree walk also
-        # matters for correctness — probe_bounds would hand range_search
-        # NaN bounds, against which its stop condition never fires.
-        is_nan = value != value
+    def _run(self, ctx, columns) -> None:
+        # Operator-cost split (insert vs. probe): timestamps bracket the
+        # real work; the observe calls themselves are excluded from the
+        # charged service by the engine's overhead ledger.
+        observing = ctx.observing
+        tids, times, left_values, right_values, is_left = columns
+        t0 = time.perf_counter() if observing else 0.0  # repro: allow-wallclock
+        plan = self._insert(tids, left_values, right_values, is_left)
+        t1 = time.perf_counter() if observing else 0.0  # repro: allow-wallclock
+        ctx.emit(self._partial(tids, times, is_left, plan), stream="partial")
+        if observing:
+            t2 = time.perf_counter()  # repro: allow-wallclock
+            ctx.observe_cost("mutable_probe", t2 - t1)
+            ctx.observe_cost("mutable_insert", t1 - t0)
+
+    def _insert(self, tids, left_values, right_values, is_left):
+        """Append a run to its windows; returns the probe plan: per
+        window, ``(window, rows probing it, their probe values, slot
+        bounds, probe_is_left)``, a row's bound being the window's size
+        when it arrived."""
+        for window in self.windows:
+            if window.size - window.run[2] >= _FOLD_AT:
+                window.run = extend_sorted_run(window.run, window.values)
+        if is_left is None:
+            # Self join: stored tuples play the predicate's right role.
+            (window,) = self.windows
+            rows = np.arange(len(tids))
+            plan = [(window, rows, left_values, window.size + rows, True)]
+            window.append(right_values, tids)
+            return plan
+        # R rows probe the right window and are stored in the left one,
+        # S rows the reverse.  Only the other side's rows of this run land
+        # in the probed window, and row j of a side arrived behind
+        # ``rows[j] - j`` of them; with none, no probe needs a bound.
+        left, right = self.windows
+        r_rows, s_rows = is_left.nonzero()[0], (~is_left).nonzero()[0]
+        plan, stores = [], []
+        for rows, values, flag, own, other, other_rows in (
+            (r_rows, left_values, True, left, right, s_rows),
+            (s_rows, right_values, False, right, left, r_rows),
+        ):
+            if len(rows):
+                row_tids = tids
+                if len(other_rows):
+                    values, row_tids = values[rows], tids[rows]
+                    bounds = other.size + rows - np.arange(len(rows))
+                else:
+                    bounds = None
+                plan.append((other, rows, values, bounds, flag))
+                stores.append((own, values, row_tids))
+        for own, values, row_tids in stores:
+            own.append(values, row_tids)
+        return plan
+
+    def _partial(self, tids, times, is_left, plan) -> PartialBatchMsg:
+        probes = tids.tolist()
+        keys = [key for entry in plan for key in self._hits(*entry)]
+        keys = keys[0] if len(keys) == 1 else np.concatenate(keys or [_EMPTY])
+        on_left = None if is_left is None else ~is_left
         if self.config.evaluator == "bit":
-            partial = BitSet(len(opposite.arrival))
-            if not is_nan:
-                buf = partial._bytes  # inlined O(1) flip per match
-                for lo, hi, lo_inc, hi_inc in self.pred.probe_bounds(
-                    value, probe_is_left
-                ):
-                    for __, slot in opposite.tree.range_search(
-                        lo, hi, lo_inc, hi_inc
-                    ):
-                        buf[slot >> 3] |= 1 << (slot & 7)
-        else:
-            # Naive baseline: a hash table of matched tuples (Section 2.4).
-            partial = {}
-            if not is_nan:
-                for lo, hi, lo_inc, hi_inc in self.pred.probe_bounds(
-                    value, probe_is_left
-                ):
-                    for stored_value, tid in opposite.tree.range_search(
-                        lo, hi, lo_inc, hi_inc
-                    ):
-                        partial[tid] = stored_value
-        return PartialMsg(
-            t.tid,
-            self.pred_idx,
-            self.clock.epoch,
-            self._opposite_side(t),
-            partial,
-            t.event_time,
-        )
+            windows = [w.tids for w in self.windows]
+            return PartialBatchMsg(
+                self.pred_idx, probes, times, keys, windows, on_left
+            )
+        # Naive baseline (Section 2.4): per probe, a hash table of the
+        # matched tuples, keyed by tid, from the same interval search.
+        rows, slots = keys >> 32, keys & _SLOT_MASK
+        tids = _gather([w.tids for w in self.windows], on_left, rows, slots)
+        values = _gather([w.values for w in self.windows], on_left, rows, slots)
+        tables: List[Dict[int, float]] = [{} for __ in probes]
+        for row, tid, value in zip(rows.tolist(), tids.tolist(), values.tolist()):
+            tables[row][tid] = value
+        return PartialBatchMsg(self.pred_idx, probes, times, tables)
 
-    def _insert(self, t: StreamTuple) -> None:
-        own_side = self._own_side(t)
-        own = self.windows[own_side]
-        own.insert(t.values[self._own_field(own_side)], t.tid)
+    def _hits(self, window, rows, probe_values, bounds, probe_is_left) -> list:
+        """``row << 32 | slot`` keys of the stored tuples satisfying the
+        predicate: one :func:`batch_probe_intervals` call on the sorted
+        run, one comparison on the tail.  Probe ``j`` sees only slots
+        below ``bounds[j]`` (the run ends below all of them; ``None``: no
+        bound), which replays probe-then-insert."""
+        keys = []
+        row_keys = rows << 32
+        run_values, run_slots, m = window.run
+        if m:
+            for lo, hi in batch_probe_intervals(
+                self.pred, probe_values, run_values, probe_is_left
+            ):
+                counts = np.maximum(hi - lo, 0)
+                ends = counts.cumsum()
+                total = int(ends[-1])
+                if total:
+                    # CSR expansion: positions lo[j] .. hi[j] of probe j.
+                    starts = (lo - ends + counts).repeat(counts)
+                    keys.append(
+                        row_keys.repeat(counts)
+                        | run_slots[np.arange(total) + starts]
+                    )
+        n = window.size
+        if n > m:
+            # The run's arithmetic (bands compare against probe -/+ width),
+            # so run and tail hits agree; NaN on either side matches nothing.
+            pred, probe, stored = self.pred, probe_values[:, None], window._values[m:n]
+            if isinstance(pred, BandPredicate):
+                lo, hi = probe - pred.width, probe + pred.width
+                if pred.inclusive:
+                    hit = (lo <= stored) & (stored <= hi)
+                else:
+                    hit = (lo < stored) & (stored < hi)
+            else:
+                hit = self._tail_ops[probe_is_left](probe, stored)
+                if pred.op is Op.NE:
+                    hit &= (probe == probe) & (stored == stored)
+            if bounds is not None:
+                hit &= np.arange(m, n) < bounds[:, None]
+            r, c = hit.nonzero()
+            keys.append(row_keys[r] | (c + m))
+        return keys
 
     def _merge(self, ctx) -> None:
         observing = ctx.observing
         t0 = time.perf_counter() if observing else 0.0  # repro: allow-wallclock
         merge_id = self._merge_id
         self._merge_id += 1
-        left_run = self.windows["left"].drain_run()
-        ctx.emit(RunsMsg(merge_id, "left", self.pred_idx, left_run), stream="runs")
+        runs = [window.drain_run() for window in self.windows]
+        # Fresh windows: in-flight partials keep viewing the old columns.
+        self.windows = self._fresh_windows()
+        ctx.emit(RunsMsg(merge_id, "left", self.pred_idx, runs[0]), stream="runs")
         if self.config.two_stream:
-            right_run = self.windows["right"].drain_run()
+            left_run, right_run = runs
             ctx.emit(
                 RunsMsg(merge_id, "right", self.pred_idx, right_run),
                 stream="runs",
             )
-            # Algorithm 3, both directions, computed where the trees live.
+            # Algorithm 3, both directions, computed where the windows live.
             lr = compute_offset_array(left_run.values, right_run.values)
             rl = compute_offset_array(right_run.values, left_run.values)
             ctx.emit(OffsetMsg(merge_id, self.pred_idx, lr, rl), stream="merge")
@@ -549,140 +603,86 @@ class PermutationOperator(Operator):
 class LogicalOperator(Operator):
     """ANDs per-predicate partials; provenance-protected by default.
 
-    The operator reconstructs slot-to-id mappings from the router
-    broadcast (both predicate PEs see tuples in the same order, so bit
-    positions are reproducible), keeping the previous epoch around for
-    partials that straddle a merge boundary.
+    Partials carry their own slot maps, so a run's results need only its
+    messages: the provenance table pairs them by first probe tid.
+    Without provenance (Figure 18) messages overwrite each other by
+    predicate index, and a row is ``correct`` iff every message names
+    the same probe in it.
     """
-
-    KEEP_EPOCHS = 3
 
     def __init__(self, config: SPOConfig) -> None:
         self.config = config
-        self.clock = _MergeClock(config.policy)
-        # (side, epoch) -> arrival-ordered tids.
-        self._arrivals: Dict[Tuple[str, int], List[int]] = {}
-        # Provenance table: probe tid -> {pred_idx: PartialMsg}.
-        self._table: Dict[int, Dict[int, PartialMsg]] = {}
-        # Overwrite mode (Figure 18): pred_idx -> PartialMsg.
-        self._slots: Dict[int, PartialMsg] = {}
-        # Partials whose bit arrays reference slots of broadcast tuples
-        # this PE has not observed yet (a fast predicate PE can outrun the
-        # router link); they wait here until the arrival list catches up.
-        self._deferred: List[Tuple[int, List[PartialMsg], bool]] = []
-        self.emitted = 0
-        self.incorrect = 0
-
-    def _side_of(self, t: StreamTuple) -> str:
-        if not self.config.two_stream:
-            return "left"
-        return "left" if t.stream == self.config.left_stream else "right"
+        self._num_preds = len(config.query.predicates)
+        # Provenance table: first probe tid -> {pred_idx: message}.
+        self._table: Dict[int, Dict[int, PartialBatchMsg]] = {}
+        # Overwrite mode (Figure 18): pred_idx -> latest message.
+        self._slots: Dict[int, PartialBatchMsg] = {}
 
     def process(self, payload, ctx) -> None:
-        if isinstance(payload, StreamTuple):
-            self._observe(payload)
-            self._flush_deferred(ctx)
-            return
-        if isinstance(payload, TupleBatch):
-            self.process_batch(payload, ctx)
-            return
-        if isinstance(payload, PartialBatchMsg):
-            for entry in payload.entries:
-                self._accept_partial(entry, ctx)
-            return
-        self._accept_partial(payload, ctx)
-
-    def process_batch(self, batch: TupleBatch, ctx) -> None:
-        """Observe a router batch's arrivals in order, then retry deferred."""
-        for t in batch.tuples:
-            self._observe(t)
-        self._flush_deferred(ctx)
-
-    def _accept_partial(self, msg: PartialMsg, ctx) -> None:
+        msg: PartialBatchMsg = payload
         if self.config.use_provenance:
             pending = self._table.setdefault(msg.probe_tid, {})
             pending[msg.pred_idx] = msg
-            if len(pending) < len(self.config.query.predicates):
+            if len(pending) < self._num_preds:
                 return
             del self._table[msg.probe_tid]
-            self._emit(ctx, msg.probe_tid, list(pending.values()), correct=True)
+            parts = list(pending.values())
+            correct = [True] * len(msg.probes)
         else:
             self._slots[msg.pred_idx] = msg
-            if len(self._slots) < len(self.config.query.predicates):
+            if len(self._slots) < self._num_preds:
                 return
             parts = list(self._slots.values())
             self._slots = {}
-            tids = {p.probe_tid for p in parts}
-            self._emit(ctx, msg.probe_tid, parts, correct=len(tids) == 1)
-
-    def _observe(self, t: StreamTuple) -> None:
-        key = (self._side_of(t), self.clock.epoch)
-        self._arrivals.setdefault(key, []).append(t.tid)
-        if self.clock.advance(t):
-            floor = self.clock.epoch - self.KEEP_EPOCHS
-            for old in [k for k in self._arrivals if k[1] < floor]:
-                del self._arrivals[old]
-
-    def _ready(self, parts: List[PartialMsg]) -> bool:
-        """True when every referenced slot's tuple has been observed."""
-        for part in parts:
-            if isinstance(part.partial, BitSet):
-                arrivals = self._arrivals.get((part.side, part.epoch), ())
-                if part.partial.size > len(arrivals):
-                    return False
-        return True
-
-    def _emit(self, ctx, probe_tid: int, parts: List[PartialMsg], correct: bool) -> None:
-        if not self._ready(parts):
-            self._deferred.append((probe_tid, parts, correct))
-            return
-        self._emit_now(ctx, probe_tid, parts, correct)
-        self._flush_deferred(ctx)
-
-    def _flush_deferred(self, ctx) -> None:
-        """Emit deferred results whose slots have since been observed."""
-        while self._deferred and self._ready(self._deferred[0][1]):
-            tid, pending, ok = self._deferred.pop(0)
-            self._emit_now(ctx, tid, pending, ok)
-
-    def _emit_now(
-        self, ctx, probe_tid: int, parts: List[PartialMsg], correct: bool
-    ) -> None:
-        matches = self._intersect(parts)
-        if self.config.query.is_self_join:
-            matches = [m for m in matches if m != probe_tid]
-        self.emitted += 1
-        if not correct:
-            self.incorrect += 1
-        ctx.record(
-            "mutable_result",
-            {
-                "tid": probe_tid,
-                "matches": matches,
-                "correct": correct,
-                "event_time": parts[0].event_time,
-            },
-        )
-
-    def _intersect(self, parts: List[PartialMsg]) -> List[int]:
-        first = parts[0].partial
-        if isinstance(first, BitSet):
-            combined = first
-            for part in parts[1:]:
-                combined = combined.intersect(part.partial)
-            arrivals = self._arrivals.get((parts[0].side, parts[0].epoch), [])
-            return [
-                arrivals[slot]
-                for slot in combined.iter_set()
-                if slot < len(arrivals)
+            correct = [
+                all(part.probes[i] == msg.probes[i] for part in parts)
+                for i in range(min(len(part.probes) for part in parts))
             ]
-        # Hash-table partials: walk the smallest result set and test
-        # membership in the others.
-        tables = sorted((p.partial for p in parts), key=len)
-        smallest, rest = tables[0], tables[1:]
-        return sorted(
-            tid for tid in smallest if all(tid in table for table in rest)
-        )
+        probes = msg.probes[: len(correct)]
+        event_times = parts[0].event_times
+        for i, matches in enumerate(self._intersect(parts, probes)):
+            ctx.record(
+                "mutable_result",
+                {
+                    "tid": probes[i],
+                    "matches": matches,
+                    "correct": correct[i],
+                    "event_time": event_times[i],
+                },
+            )
+
+    def _intersect(self, parts, probes: List[int]) -> List[List[int]]:
+        """Per row, the ascending tids every part's partial names."""
+        self_join = self.config.query.is_self_join
+        first = parts[0]
+        if not isinstance(first.partial, np.ndarray):
+            # Hash-table partials: walk the smallest result set and test
+            # membership in the others.
+            out = []
+            for i, probe_tid in enumerate(probes):
+                tables = sorted((part.partial[i] for part in parts), key=len)
+                out.append(
+                    sorted(
+                        tid
+                        for tid in tables[0]
+                        if all(tid in table for table in tables[1:])
+                        and not (self_join and tid == probe_tid)
+                    )
+                )
+            return out
+        keys = first.partial
+        for part in parts[1:]:
+            keys = np.intersect1d(keys, part.partial, assume_unique=True)
+        if len(parts) == 1:
+            keys = np.sort(keys)
+        rows = keys >> 32
+        tids = _gather(first.windows, first.on_left, rows, keys & _SLOT_MASK)
+        if self_join:
+            keep = tids != np.asarray(probes)[rows]
+            rows, tids = rows[keep], tids[keep]
+        ends = np.cumsum(np.bincount(rows, minlength=len(probes))).tolist()
+        flat = tids.tolist()
+        return [flat[a:b] for a, b in zip([0] + ends, ends)]
 
 
 # ----------------------------------------------------------------------

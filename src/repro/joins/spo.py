@@ -5,13 +5,15 @@ topology::
 
     source -> router --(broadcast)--> pred_0, pred_1     (mutable W_M)
                  \\--(broadcast)--> pojoin PEs            (immutable W_IM)
-                 \\--(broadcast)--> logical PEs           (slot bookkeeping)
     pred_i --(hash by probe id)--> logical PEs            (partial results)
     pred_i --(direct)--> perm PE                          (sorted runs)
     pred_i --(by merge id)--> pojoin PEs                  (offset arrays)
     perm   --(by merge id)--> pojoin PEs                  (runs + permutation)
 
-Merge material reaches PO-Join PEs by ``merge_id % |PEs|`` — the paper's
+The logical PEs see no tuples: each partial carries its own slot map (a
+view of the predicate PE's arrival-tid column), so ANDing and mapping
+slots to tuple ids need only the partials of one router run.  Merge
+material reaches PO-Join PEs by ``merge_id % |PEs|`` — the paper's
 round-robin distribution made deterministic so all parts of a merge
 interval meet on the owning PE.
 """
@@ -96,19 +98,16 @@ def build_spo_topology(
             inputs=[("router", Grouping.broadcast())],
         )
 
-    # Logical operator: consumes partials from every predicate PE (hash
-    # partitioned by probe id) plus the router broadcast for slot
-    # bookkeeping.
-    logical_inputs = [("router", Grouping.broadcast(), "default")]
-    for name in pred_names:
-        logical_inputs.append(
-            (name, Grouping.hash_by(lambda p: p.probe_tid), "partial")
-        )
+    # Logical operator: consumes partials from every predicate PE, hash
+    # partitioned by the first probe id of their run.
     topo.add_bolt(
         "logical",
         lambda: LogicalOperator(config),
         parallelism=logical_pes,
-        input_streams=logical_inputs,
+        input_streams=[
+            (name, Grouping.hash_by(lambda p: p.probe_tid), "partial")
+            for name in pred_names
+        ],
     )
 
     # Dedicated permutation PE fed directly by the predicate PEs.

@@ -17,10 +17,11 @@ from repro.joins import (
     SPOConfig,
     build_spo_local_topology,
     build_spo_sharded_topology,
+    build_spo_topology,
     run_spo,
     run_topology,
 )
-from repro.parallel import reduce_sharded_result
+from repro.parallel import ParallelExecutor, reduce_sharded_result
 from repro.workloads import cross_stream, interleave, q1, q3, self_stream, timed
 
 N = 400
@@ -105,3 +106,17 @@ def test_figure3_topology_fingerprint():
     )
     assert result.result_fingerprint() == FIG3_Q1
     assert_plain_int_lists(result, "immutable_result")
+
+
+def test_figure3_topology_on_workers_fingerprint():
+    """The Figure-3 topology on two real worker processes: partials,
+    runs and merge parts cross process boundaries pickled, and the
+    results still match the simulated run's golden digest."""
+    result = ParallelExecutor(
+        build_spo_topology(
+            cross_source(),
+            SPOConfig(q1(), WINDOW, num_pojoin_pes=2, batch_size=BATCH),
+        ),
+        num_workers=2,
+    ).run()
+    assert result.result_fingerprint() == FIG3_Q1

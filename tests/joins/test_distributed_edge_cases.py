@@ -1,13 +1,14 @@
 """Distributed SPO edge cases: band multi-PE, tiny windows, empty streams."""
 
 import random
+import time
 from collections import defaultdict
 
 import pytest
 
 from repro.core import QuerySpec, SPOJoin, StreamTuple, WindowSpec
 from repro.dspe.router import RawTuple
-from repro.joins import SPOConfig, run_spo
+from repro.joins import PredicateOperator, SPOConfig, run_spo
 
 
 def collect(res):
@@ -26,6 +27,18 @@ def local_reference(query, raws, window, sub_intervals=1):
         )}
         for i, raw in enumerate(raws)
     }
+
+
+def nan_raws():
+    """300 self-join tuples, every 11th with one NaN field."""
+    rng = random.Random(63)
+    raws = []
+    for i in range(300):
+        values = [rng.random(), rng.random()]
+        if i % 11 == 0:
+            values[i % 2] = float("nan")
+        raws.append(RawTuple("NYC", tuple(values), i * 0.001))
+    return raws
 
 
 class TestBandMultiPE:
@@ -89,13 +102,7 @@ class TestDegenerateInputs:
         # batch sizes 1 and 7 disagreed and both disagreed with the local
         # SPOJoin.  NaN now matches nothing on either side, identically
         # at every batch size.
-        rng = random.Random(63)
-        raws = []
-        for i in range(300):
-            values = [rng.random(), rng.random()]
-            if i % 11 == 0:
-                values[i % 2] = float("nan")
-            raws.append(RawTuple("NYC", tuple(values), i * 0.001))
+        raws = nan_raws()
         window = WindowSpec.count(120, 30)
         expected = local_reference(q3_query, raws, window)
         per_batch = []
@@ -115,6 +122,38 @@ class TestDegenerateInputs:
             if tid in nan_tids:
                 assert not exp
             assert not (per_batch[0][tid] & nan_tids), tid
+
+    @pytest.mark.parametrize("batch_size", [1, 7])
+    def test_host_pause_loses_no_result(self, q3_query, monkeypatch, batch_size):
+        # A host pause in one predicate PE (GC, a busy neighbour) puts it
+        # merge intervals behind the other.  Partials carry their own
+        # slot map, so the late ones still decode: every probe gets its
+        # one mutable result and the union stays exact.
+        process = PredicateOperator.process
+        calls = []
+
+        def paused(self, payload, ctx):
+            if self.pred_idx == 0:
+                calls.append(None)
+                if len(calls) == 5:
+                    time.sleep(0.25)
+            process(self, payload, ctx)
+
+        monkeypatch.setattr(PredicateOperator, "process", paused)
+        raws = nan_raws()
+        window = WindowSpec.count(120, 30)
+        res = run_spo(
+            ((raw.event_time, raw) for raw in raws),
+            SPOConfig(q3_query, window, num_pojoin_pes=1, batch_size=batch_size),
+        )
+        assert len(calls) >= 5
+        mutable = sorted(
+            r.payload["tid"] for r in res.records_named("mutable_result")
+        )
+        assert mutable == list(range(len(raws)))
+        got = collect(res)
+        for tid, exp in local_reference(q3_query, raws, window).items():
+            assert got[tid] == exp, tid
 
     def test_more_pes_than_merges(self, q3_query):
         # 8 PO-Join PEs but only ~3 merges: most PEs never own a batch.

@@ -14,7 +14,9 @@ from repro.core import (
     WindowSpec,
 )
 from repro.dspe.router import RawTuple
-from repro.joins import CSSImmutableBatch, SPOConfig, run_spo
+from repro.joins import CSSImmutableBatch, LogicalOperator, SPOConfig, run_spo
+
+from ..conftest import ReferenceWindowJoin
 
 
 def make_raws(n, streams, seed, hi=25, int_vals=True):
@@ -93,12 +95,23 @@ class TestExactness:
             set, local_results(q, raws, WINDOW)
         )
 
-    def test_hash_evaluator(self, q1_query):
+    def test_hash_evaluator(self, q1_query, monkeypatch):
+        # The logical PEs must really intersect hash-table partials, not
+        # bit partials the evaluator flag failed to switch off.
+        seen = []
+        process = LogicalOperator.process
+
+        def spy(self, payload, ctx):
+            seen.append(type(payload.partial))
+            process(self, payload, ctx)
+
+        monkeypatch.setattr(LogicalOperator, "process", spy)
         raws = make_raws(400, ["R", "S"], seed=34)
         res = run_spo(
             source_of(raws),
             SPOConfig(q1_query, WINDOW, num_pojoin_pes=1, evaluator="hash"),
         )
+        assert seen and set(seen) == {list}
         assert distributed_results(res) == defaultdict(
             set, local_results(q1_query, raws, WINDOW)
         )
@@ -171,22 +184,22 @@ class TestMultiPE:
 class TestCorrectnessExperiment:
     """Figure 18: provenance on/off at the logical operator."""
 
-    def test_without_provenance_correctness_drops(self, q1_query):
-        # A burst arrival backlogs both predicate PEs; because their
-        # service times differ, partials of different tuples interleave at
-        # the logical PE — the out-of-order hazard of Section 4.3.
+    @staticmethod
+    def burst():
         raws = make_raws(800, ["R", "S"], seed=39)
         for raw in raws:
             raw.event_time = 0.0  # burst: everything arrives at once
-        # The logical PE keeps KEEP_EPOCHS merge intervals of broadcast
-        # arrivals.  With WINDOW's 20-tuple slide the broadcast outruns
-        # the backlogged partials by more than that, and partials whose
-        # epoch is gone wait forever — a host pause early in the run then
-        # leaves nothing emitted at all.  KEEP_EPOCHS 400-tuple slides
-        # cover the whole burst, so every epoch a partial names is kept.
-        window = WindowSpec.count(800, 400)
+        return raws
+
+    @pytest.mark.parametrize(
+        "window", [WINDOW, WindowSpec.count(800, 400)], ids=["slide20", "slide400"]
+    )
+    def test_without_provenance_correctness_drops(self, q1_query, window):
+        # A burst arrival backlogs both predicate PEs; because their
+        # service times differ, partials of different tuples interleave at
+        # the logical PE — the out-of-order hazard of Section 4.3.
         res = run_spo(
-            source_of(raws),
+            source_of(self.burst()),
             SPOConfig(q1_query, window, num_pojoin_pes=1, use_provenance=False),
             logical_pes=1,
         )
@@ -203,3 +216,27 @@ class TestCorrectnessExperiment:
         )
         records = res.records_named("mutable_result")
         assert records and all(r.payload["correct"] for r in records)
+        # Exactly one mutable result per probe tuple: none lost, none twice.
+        assert sorted(r.payload["tid"] for r in records) == list(range(400))
+
+    @pytest.mark.parametrize("slide", [20, 150])
+    def test_burst_recall_with_provenance(self, q1_query, slide):
+        """Under a burst the predicate PEs run far behind the router; every
+        probe still gets its one mutable result, and the union with the
+        immutable results is the reference join's, tuple by tuple."""
+        raws = self.burst()
+        window = WindowSpec.count(max(100, 2 * slide), slide)
+        res = run_spo(
+            source_of(raws),
+            SPOConfig(q1_query, window, num_pojoin_pes=1),
+            logical_pes=1,
+        )
+        mutable = sorted(
+            r.payload["tid"] for r in res.records_named("mutable_result")
+        )
+        assert mutable == list(range(len(raws)))
+        reference = ReferenceWindowJoin(q1_query, window)
+        got = distributed_results(res)
+        for i, raw in enumerate(raws):
+            t = StreamTuple(i, raw.stream, raw.values, raw.event_time)
+            assert got[i] == set(reference.process(t)), i
